@@ -29,7 +29,11 @@ class ConvergenceError(GwldpError, RuntimeError):
 
 
 class PopulationCapError(GwldpError, RuntimeError):
-    """A simulated lineage exceeded the configured total-population cap."""
+    """A simulated trial exceeded the configured total-population cap.
+
+    The cap bounds a trial's total progeny summed over its n lineages, and so
+    also every lineage's.
+    """
 
 
 class ConfigError(GwldpError, ValueError):

@@ -1,10 +1,13 @@
 """Simulation of total progenies and empirical decay-rate estimation.
 
-Replications are vectorized: a batch of lineages advances generation by
-generation, every currently alive individual drawing its offspring count in
-one array operation.  Offspring draws use inverse-cdf sampling on the stored
-table, switching to a Vose alias table once the support is wide enough that
-O(1) draws pay off.
+The estimators read a trial's n i.i.d. replications only through the sums
+Y_sum and Z_sum.  By the branching property, given Z_sum = r the sum Y_sum
+is the total progeny of one Galton-Watson tree started from r ancestors,
+P(Y_sum = k | Z_sum = r) = (r/k) f^{*k}(k - r) (Dwass 1969), so each trial
+simulates a single tree.  A batch of trials advances generation by
+generation; each draw, of Z_sum and of every generation's size, is one
+multinomial split of a count over the law's support, so a generation costs
+O(trials x |supp f|) whatever its population.
 
 Reproducibility contract: all randomness derives from the scenario's master
 seed through fixed-purpose seed sequences keyed by (master_seed, purpose,
@@ -27,8 +30,10 @@ from .offspring import Pmf
 from .progeny import ProgenyModel, build_model
 
 DEFAULT_POPULATION_CAP = 10 ** 7
-ALIAS_SUPPORT_THRESHOLD = 16   # inverse-cdf below, alias table above
-_CHUNK_LINEAGES = 1 << 21      # batch size; fixed so streams are scenario-determined
+# per-chunk element budget: trials_per_chunk * max(n, |supp f|, |supp g|)
+# stays within it, capping each multinomial buffer; fixed so that streams
+# are scenario-determined
+_CHUNK_LINEAGES = 1 << 21
 _Z95 = 1.959963984540054
 
 _PURPOSE_REPLICATE = 0
@@ -36,53 +41,17 @@ _PURPOSE_TAIL_RANDOM = 1
 _PURPOSE_TAIL_DETERMINISTIC = 2
 
 
-class DiscreteSampler:
-    """Draws from an integer law, vectorized.
+def _sum_draws(pmf: Pmf, counts: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+    """Per entry, the sum of ``counts[i]`` i.i.d. draws from ``pmf``.
 
-    The truncated table is renormalized before sampling; the bias this
+    One multinomial vector per entry splits its draws over the support
+    points, so the cost grows with the support, not with the counts.  The
+    truncated table is renormalized before sampling; the bias this
     introduces is bounded by the recorded deficit (at most 1e-9 for laws
     built from the family constructors).
     """
-
-    def __init__(self, pmf: Pmf):
-        probs = pmf.probs / pmf.probs.sum()
-        self.values = pmf.support.copy()
-        self.cdf = np.cumsum(probs)
-        self.cdf[-1] = 1.0
-        self.use_alias = self.values.size > ALIAS_SUPPORT_THRESHOLD
-        if self.use_alias:
-            self._build_alias(probs)
-
-    def _build_alias(self, probs: np.ndarray) -> None:
-        # Vose's method: split scaled masses into donor/receiver pairs
-        n = probs.size
-        scaled = probs * n
-        alias = np.zeros(n, dtype=np.int64)
-        accept = np.ones(n)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            accept[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            (small if scaled[g] < 1.0 else large).append(g)
-        for rest in (small, large):
-            for i in rest:
-                accept[i] = 1.0
-                alias[i] = i
-        self.alias = alias
-        self.accept = accept
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.use_alias:
-            idx = rng.integers(0, self.values.size, size=size)
-            keep = rng.random(size) < self.accept[idx]
-            return np.where(keep, self.values[idx], self.values[self.alias[idx]])
-        u = rng.random(size)
-        return self.values[np.searchsorted(self.cdf, u, side="right")]
+    return rng.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
 
 
 @dataclass(frozen=True)
@@ -106,8 +75,10 @@ class LdpScenario:
 
     ``n_schedule`` lists the replication counts (strictly increasing),
     ``trials`` the independent repetitions per count, and ``population_cap``
-    bounds a single lineage's total progeny so that mis-specified
-    supercritical inputs fail loudly instead of looping.
+    bounds a trial's total progeny, summed over its n lineages, so that
+    mis-specified supercritical inputs fail loudly instead of looping.  The
+    sum is at least any one lineage's progeny, so the cap bounds every
+    lineage too.
     """
 
     f_spec: dict
@@ -248,44 +219,29 @@ def sample_progeny(f: Pmf, g: Pmf, rng: np.random.Generator,
     alive drawing an offspring count from f, until extinction.  Y counts all
     individuals ever alive, so Y >= Z >= 1.
     """
-    model = build_model(f, g)
-    _require_simulable(model)
-    f_sampler = DiscreteSampler(f)
-    z = int(DiscreteSampler(g).draw(rng, 1)[0])
-    alive = z
-    total = z
-    while alive > 0:
-        alive = int(f_sampler.draw(rng, alive).sum())
-        total += alive
-        if total > population_cap:
-            raise PopulationCapError(
-                f"lineage exceeded population cap {population_cap}"
-            )
-    return total, z
+    _require_simulable(build_model(f, g))
+    z = _sum_draws(g, np.ones(1, dtype=np.int64), rng)
+    y = _total_progeny_batch(f, z, rng, population_cap)
+    return int(y[0]), int(z[0])
 
 
-def _total_progeny_batch(f_sampler: DiscreteSampler, z: np.ndarray,
-                         rng: np.random.Generator,
+def _total_progeny_batch(f: Pmf, z: np.ndarray, rng: np.random.Generator,
                          population_cap: int) -> np.ndarray:
-    """Vectorized generation recursion for a batch of lineages."""
-    total = z.astype(np.int64).copy()
-    alive = z.astype(np.int64).copy()
-    while True:
-        act = alive > 0
-        if not act.any():
-            return total
-        counts = alive[act]
-        draws = f_sampler.draw(rng, int(counts.sum()))
-        owner = np.repeat(np.arange(counts.size), counts)
-        born = np.bincount(owner, weights=draws,
-                           minlength=counts.size).astype(np.int64)
-        alive = np.zeros_like(alive)
-        alive[act] = born
-        total[act] += born
-        if (total > population_cap).any():
+    """Total progeny of one tree per entry, started from ``z[i]`` ancestors."""
+    total = z.astype(np.int64)
+    active = np.flatnonzero(total)
+    alive = total[active]
+    while active.size:
+        alive = _sum_draws(f, alive, rng)
+        total[active] += alive
+        if (total[active] > population_cap).any():
             raise PopulationCapError(
-                f"a lineage exceeded the population cap {population_cap}"
+                f"a trial's total progeny exceeded the population cap "
+                f"{population_cap}"
             )
+        keep = alive > 0
+        active, alive = active[keep], alive[keep]
+    return total
 
 
 def _stream(scenario: LdpScenario, purpose: int, n_index: int,
@@ -297,24 +253,20 @@ def _stream(scenario: LdpScenario, purpose: int, n_index: int,
 
 def _replicate_sums(scenario: LdpScenario, model: ProgenyModel,
                     purpose: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    f_sampler = DiscreteSampler(model.f)
-    g_sampler = DiscreteSampler(model.g)
+    width = max(model.f.support.size, model.g.support.size)
     out = []
     for n_index, n in enumerate(scenario.n_schedule):
-        trials_per_chunk = max(1, _CHUNK_LINEAGES // n)
+        trials_per_chunk = max(1, _CHUNK_LINEAGES // max(n, width))
         y_sum = np.empty(scenario.trials, dtype=np.int64)
         z_sum = np.empty(scenario.trials, dtype=np.int64)
-        done = 0
-        chunk = 0
-        while done < scenario.trials:
-            m = min(trials_per_chunk, scenario.trials - done)
+        starts = range(0, scenario.trials, trials_per_chunk)
+        for chunk, start in enumerate(starts):
+            stop = min(start + trials_per_chunk, scenario.trials)
             rng = _stream(scenario, purpose, n_index, chunk)
-            z = g_sampler.draw(rng, m * n)
-            y = _total_progeny_batch(f_sampler, z, rng, scenario.population_cap)
-            y_sum[done:done + m] = y.reshape(m, n).sum(axis=1)
-            z_sum[done:done + m] = z.reshape(m, n).sum(axis=1)
-            done += m
-            chunk += 1
+            z_sum[start:stop] = _sum_draws(
+                model.g, np.full(stop - start, n, dtype=np.int64), rng)
+            y_sum[start:stop] = _total_progeny_batch(
+                model.f, z_sum[start:stop], rng, scenario.population_cap)
         out.append((n, y_sum, z_sum))
     return out
 
@@ -353,32 +305,19 @@ def _event_hits(block: ReplicationBlock, threshold: Threshold,
     return int(np.count_nonzero(dev >= threshold.level - 1e-12))
 
 
-def reference_rate(model: ProgenyModel, threshold: Threshold,
-                   grid_points: int = 25) -> float:
+def reference_rate(model: ProgenyModel, threshold: Threshold) -> float:
     """Rate-function infimum over the threshold event's closure.
 
-    For one-sided mean events the infimum sits at the boundary by convexity;
-    it is nevertheless taken as a minimum over a grid on the event side, which
-    doubles as a numerical monotonicity check.
+    The marginal rate is convex with its zero at nu, so for one-sided mean
+    events the infimum is the rate at the level itself (0 when the level is
+    on the mean's side).
     """
-    nu = model.nu
+    a = threshold.level
     if threshold.kind == "mean_ge":
-        a = threshold.level
-        if a <= nu:
-            return 0.0
-        ys = np.linspace(a, a + 3.0 * (a - nu) + 1.0, grid_points)
-        return min(ratefn.rate_progeny_marginal(model, float(y)).value
-                   for y in ys)
+        return ratefn.rate_progeny_marginal(model, a).value if a > model.nu else 0.0
     if threshold.kind == "mean_le":
-        a = threshold.level
-        if a >= nu:
-            return 0.0
-        lo = max(model.g.min_support, a - 3.0 * (nu - a) - 1.0)
-        ys = np.linspace(min(lo, a), a, grid_points)
-        return min(ratefn.rate_progeny_marginal(model, float(y)).value
-                   for y in ys)
-    eps = threshold.level
-    sides = (model.mu_f - eps, model.mu_f + eps)
+        return ratefn.rate_progeny_marginal(model, a).value if a < model.nu else 0.0
+    sides = (model.mu_f - a, model.mu_f + a)
     return min(ratefn.rate_estimator_ratio(model, x).value for x in sides)
 
 

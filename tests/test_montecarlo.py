@@ -11,7 +11,7 @@ from gwldp import (HypothesisError, LdpScenario, PopulationCapError,
                    Threshold, empirical_rate, estimator_tail_ratio,
                    pmf_from_dict, replicate, sample_progeny,
                    total_progeny_pmf_dwass)
-from gwldp.montecarlo import DiscreteSampler, _total_progeny_batch
+from gwldp.montecarlo import _sum_draws, _total_progeny_batch
 
 BERN_SPEC = {"family": "bernoulli", "params": {"p": 0.5}}
 G_ID_SPEC = {"family": "explicit", "params": {"probs": [[1, 1.0]]}}
@@ -31,30 +31,18 @@ def scenario(f=BERN_SPEC, g=G_HALF_SPEC, n_schedule=(5, 10), trials=200,
 
 class TestSampler:
     def test_inverse_cdf_small_support(self):
-        sampler = DiscreteSampler(G_HALF)
-        assert not sampler.use_alias
-        draws = sampler.draw(np.random.default_rng(0), 200_000)
+        draws = _sum_draws(G_HALF, np.ones(200_000, dtype=np.int64),
+                           np.random.default_rng(0))
         assert set(np.unique(draws)) == {1, 2}
         assert np.mean(draws == 1) == approx(0.5, abs=0.005)
 
     def test_alias_table_wide_support(self):
         wide = gw.pmf_from_family("poisson", {"lambda": 4.0}, truncation_K=40)
-        sampler = DiscreteSampler(wide)
-        assert sampler.use_alias
-        draws = sampler.draw(np.random.default_rng(1), 400_000)
+        draws = _sum_draws(wide, np.ones(400_000, dtype=np.int64),
+                           np.random.default_rng(1))
         assert draws.mean() == approx(4.0, abs=0.02)
         for k in (0, 2, 4, 7):
             assert np.mean(draws == k) == approx(wide.prob(k), abs=0.004)
-
-    def test_alias_and_cdf_agree_in_distribution(self):
-        wide = gw.pmf_from_family("poisson", {"lambda": 4.0}, truncation_K=40)
-        alias = DiscreteSampler(wide)
-        cdf_only = DiscreteSampler(wide)
-        cdf_only.use_alias = False
-        a = alias.draw(np.random.default_rng(2), 300_000)
-        b = cdf_only.draw(np.random.default_rng(3), 300_000)
-        assert a.mean() == approx(b.mean(), abs=0.03)
-        assert np.var(a) == approx(np.var(b), rel=0.03)
 
 
 class TestSampleProgeny:
@@ -101,8 +89,8 @@ class TestBatchKernel:
     def test_matches_dwass_within_three_sigma(self):
         rng = np.random.default_rng(7)
         n_draws = 100_000
-        z = DiscreteSampler(G_ID).draw(rng, n_draws)
-        ys = _total_progeny_batch(DiscreteSampler(BERN), z, rng, 10 ** 7)
+        z = _sum_draws(G_ID, np.ones(n_draws, dtype=np.int64), rng)
+        ys = _total_progeny_batch(BERN, z, rng, 10 ** 7)
         table = total_progeny_pmf_dwass(BERN, 60)
         for k in range(1, 61):
             p = table.prob(k)
@@ -111,18 +99,32 @@ class TestBatchKernel:
             sigma = math.sqrt(p * (1 - p) / n_draws)
             assert np.mean(ys == k) == approx(p, abs=3 * sigma)
 
+    def test_branching_property_three_ancestors(self):
+        # a tree from r = 3 ancestors has P(Y = k) = (r/k) f^{*k}(k - r)
+        # (Dwass 1969); for Bernoulli(1/2) that is (3/k) C(k, k-3) 2^-k
+        rng = np.random.default_rng(7)
+        n_draws = 100_000
+        ys = _total_progeny_batch(BERN, np.full(n_draws, 3), rng, 10 ** 7)
+        assert ys.min() >= 3
+        for k in range(3, 80):
+            p = 3 / k * math.comb(k, k - 3) * 0.5 ** k
+            if p * n_draws < 25:
+                continue
+            sigma = math.sqrt(p * (1 - p) / n_draws)
+            assert np.mean(ys == k) == approx(p, abs=3 * sigma)
+
     def test_ordering_invariant(self):
         rng = np.random.default_rng(9)
-        z = DiscreteSampler(G_HALF).draw(rng, 100_000)
-        ys = _total_progeny_batch(DiscreteSampler(BERN), z, rng, 10 ** 7)
+        z = _sum_draws(G_HALF, np.ones(100_000, dtype=np.int64), rng)
+        ys = _total_progeny_batch(BERN, z, rng, 10 ** 7)
         assert np.all(ys >= z)
         assert np.all(z >= 1)
 
     def test_batch_cap_trips(self):
         rng = np.random.default_rng(9)
-        z = DiscreteSampler(G_ID).draw(rng, 1000)
+        z = _sum_draws(G_ID, np.ones(1000, dtype=np.int64), rng)
         with pytest.raises(PopulationCapError):
-            _total_progeny_batch(DiscreteSampler(BERN), z, rng, 4)
+            _total_progeny_batch(BERN, z, rng, 4)
 
 
 class TestReplicate:
