@@ -108,6 +108,8 @@ class LdpScenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LdpScenario":
+        if not isinstance(data, dict):
+            raise ConfigError("scenario must be a JSON object")
         try:
             thresholds = tuple(
                 Threshold(t["kind"], float(t["level"]))
@@ -125,6 +127,10 @@ class LdpScenario:
             )
         except KeyError as exc:
             raise ConfigError(f"scenario is missing field {exc.args[0]!r}") from exc
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario field invalid: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return {

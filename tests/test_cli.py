@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gwldp import cli
+from gwldp import montecarlo as mc
 from gwldp.errors import ConvergenceError
 
 BERN_F = '{"family": "bernoulli", "params": {"p": 0.5}}'
@@ -167,6 +169,42 @@ class TestConfigHandling:
         monkeypatch.setitem(cli._DISPATCH, "rate", explode)
         assert run(["rate", "--f", BERN_F, "--out", str(tmp_path)]) == 4
 
+    def _simulate_with(self, tmp_path, **fields):
+        scenario = {
+            "f": {"family": "bernoulli", "params": {"p": 0.5}},
+            "g": {"family": "explicit", "params": {"probs": [[1, 1.0]]}},
+            "n_schedule": [5],
+            "trials": 10,
+        }
+        scenario.update(fields)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        return run(["simulate", "--config", str(path), "--out", str(tmp_path)])
+
+    def test_non_integer_trials_exit_two(self, tmp_path, capsys):
+        assert self._simulate_with(tmp_path, trials="many") == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_numeric_threshold_level_exit_two(self, tmp_path, capsys):
+        code = self._simulate_with(
+            tmp_path, thresholds=[{"kind": "mean_ge", "level": "x"}])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_object_scenario_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "simulate", "scenario": [1, 2]}))
+        assert run(["simulate", "--config", str(path),
+                    "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_integer_k_max_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_max": "big"}))
+        assert run(["progeny-pmf", "--config", str(path),
+                    "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_dump_config_round_trip(self, tmp_path, capsys):
         out_a = tmp_path / "a"
         code = run(["rate", "--f", BERN_F, "--grid", "0.1:0.9:7",
@@ -192,3 +230,79 @@ class TestCsvConventions:
         text = raw.decode()
         # boundary rows carry -log(1/2) at 12 significant digits
         assert "0.69314718056" in text
+
+
+def _row_oracle(header, rows, trailer=None) -> bytes:
+    """The bytes of the row-by-row writer that the column writer replaced."""
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(cli._fmt(v) for v in row) + "\n"
+    if trailer is not None:
+        text += trailer + "\n"
+    return text.encode()
+
+
+class TestCsvWriter:
+    def test_simulate_bytes_match_row_oracle(self, tmp_path, capsys):
+        cfg = TestSimulate().scenario_file(tmp_path)
+        assert run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+        scenario = mc.LdpScenario.from_json_dict(json.loads(cfg.read_text()))
+        blocks = mc.replicate(scenario)
+        est_rows = [(b.n, trial, r, m) for b in blocks
+                    for trial, (r, m) in enumerate(zip(b.est_ratio,
+                                                       b.est_meaninit))]
+        assert (tmp_path / "estimators.csv").read_bytes() == _row_oracle(
+            ["n", "trial", "est_ratio", "est_meaninit"], est_rows)
+        rate_rows = [(r.n, r.threshold.label(), r.hits, r.trials,
+                      r.rate_estimate, r.ci_halfwidth, r.reference_rate,
+                      r.censored)
+                     for t in scenario.thresholds
+                     for r in mc.empirical_rate(scenario, t, blocks=blocks)]
+        assert (tmp_path / "rates.csv").read_bytes() == _row_oracle(
+            ["n", "threshold", "hits", "trials", "rate_estimate",
+             "ci_halfwidth", "reference_rate", "censored"], rate_rows)
+
+    def test_edge_values_match_row_oracle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        floats = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+                           5e-324, -5e-324, 1e-300, 0.1, 1.0 / 3.0, 2.5])
+        ints = np.array([2 ** 62, 2 ** 62 + 1, -(2 ** 62), 2 ** 63 - 1,
+                         -(2 ** 63), 0, -1, 7], dtype=np.int64)
+        mixed = [None, "theta_max", 0.25, -0.0, 3, True, "x y"]
+        size = 2 * cli._CHUNK_ROWS + 11   # three slices, the last partial
+        columns = (rng.choice(floats, size),
+                   rng.choice(ints, size),
+                   rng.choice(floats, size).astype(np.float32),
+                   rng.choice(ints, size).astype(np.uint64),
+                   [bool(b) for b in rng.integers(0, 2, size)],
+                   [mixed[i] for i in rng.integers(0, len(mixed), size)])
+        header = ["f64", "i64", "f32", "u64", "flag", "mixed"]
+        path = tmp_path / "edge.csv"
+        cli._write_csv(str(path), header, [columns], trailer="# end")
+        assert path.read_bytes() == _row_oracle(header, zip(*columns), "# end")
+        text = path.read_text()
+        assert "-0," in text and "nan" in text and "-inf" in text
+        assert "4.94065645841e-324" in text and "4611686018427387905" in text
+
+    @pytest.mark.parametrize("rows", [7 * 4 + 3, 7 * 4])
+    def test_slice_boundaries(self, tmp_path, capsys, monkeypatch, rows):
+        argv = ["progeny-pmf", "--f", BERN_F, "--k-max", str(rows)]
+        assert run(argv + ["--out", str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+        assert run(argv + ["--out", str(tmp_path / "sliced")]) == 0
+        raw = (tmp_path / "sliced" / "progeny_pmf.csv").read_bytes()
+        assert raw == (tmp_path / "whole" / "progeny_pmf.csv").read_bytes()
+        assert raw.endswith(b"\n") and not raw.endswith(b"\n\n")
+        lines = raw.decode().split("\n")[:-1]
+        assert lines[0] == "k,pi_k"
+        assert [int(l.split(",")[0]) for l in lines[1:-1]] == \
+            list(range(1, rows + 1))
+        assert lines[-1].startswith("# deficit=")
+        # blocks follow one another with no row lost or repeated at a seam
+        blocks = [(np.arange(rows), np.arange(rows) / 8.0),
+                  (np.arange(rows, 2 * rows), np.full(rows, -0.0))]
+        path = tmp_path / "blocks.csv"
+        cli._write_csv(str(path), ["i", "v"], blocks, trailer="# end")
+        expected = [row for cols in blocks for row in zip(*cols)]
+        assert path.read_bytes() == _row_oracle(["i", "v"], expected, "# end")
