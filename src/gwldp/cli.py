@@ -167,7 +167,7 @@ def _load_json(path: str) -> dict:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -189,6 +189,8 @@ def _fmt_column(col) -> list[str] | np.ndarray:
                                       return_inverse=True)
         strings = np.array([_fmt(v) for v in col[first].tolist()], dtype=object)
         return strings[inverse]
+    if isinstance(col, range):  # integers, each printed as str(int)
+        return list(map(str, col))
     return [_fmt(v) for v in col]
 
 

@@ -101,16 +101,20 @@ def _require_proper(f: Pmf) -> None:
 def total_progeny_pmf_dwass(f: Pmf, k_max: int) -> Pmf:
     """Unit-start total-progeny law {pi_k : 1 <= k <= k_max} by the Dwass identity.
 
-    The k-fold convolution power of the stored offspring table is built
-    incrementally from the (k-1)-fold one; every convolution is truncated at
+    The k-fold convolution power is built incrementally from the (k-1)-fold
+    one by convolving it with the compact offspring table p_0..p_K, where K
+    is the largest support point at most k_max; every power is truncated at
     index k_max, which cannot disturb the coefficients pi_k with k <= k_max.
+    Each step costs O(k_max * K), the whole table O(k_max^2 * K).
     """
     _require_proper(f)
     if k_max < 1:
         raise HypothesisError(f"k_max must be >= 1, got {k_max}")
-    table = np.zeros(k_max + 1)
-    table[f.support[f.support <= k_max]] = f.probs[f.support <= k_max]
-    conv = table.copy()  # k-fold convolution power, truncated
+    kept = f.support <= k_max
+    table = np.zeros(int(f.support[kept][-1]) + 1)
+    table[f.support[kept]] = f.probs[kept]
+    conv = np.zeros(k_max + 1)  # k-fold convolution power, truncated
+    conv[: table.size] = table
     pi = np.zeros(k_max + 1)
     pi[1] = conv[0]
     for k in range(2, k_max + 1):

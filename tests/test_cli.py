@@ -306,3 +306,10 @@ class TestCsvWriter:
         cli._write_csv(str(path), ["i", "v"], blocks, trailer="# end")
         expected = [row for cols in blocks for row in zip(*cols)]
         assert path.read_bytes() == _row_oracle(["i", "v"], expected, "# end")
+
+    def test_numpy_bools_print_lowercase(self, tmp_path):
+        flags = np.array([True, False, True])
+        scalars = [np.True_, np.False_, True]
+        path = tmp_path / "bools.csv"
+        cli._write_csv(str(path), ["flag", "scalar"], [(flags, scalars)])
+        assert path.read_text() == "flag,scalar\ntrue,true\nfalse,false\ntrue,true\n"

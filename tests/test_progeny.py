@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from pytest import approx
 
 from gwldp import (HypothesisError, build_model, compound_pgf,
@@ -25,6 +28,54 @@ def dwass_oracle(probs_by_k, k_max):
         power = np.convolve(power, base)
         out[k] = power[k - 1] / k
     return out
+
+
+def exact_progeny_law(family, param, k_max):
+    """Closed-form pi_1..pi_k_max at 50 digits for the untruncated family."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(param)
+        if family == "bernoulli":      # pi_k = p^{k-1} (1-p)
+            terms = [x ** (k - 1) * (1 - x) for k in range(1, k_max + 1)]
+        elif family == "poisson":      # Borel: e^{-lam k} (lam k)^{k-1} / k!
+            terms = [mpmath.exp(-x * k) * (x * k) ** (k - 1) / mpmath.factorial(k)
+                     for k in range(1, k_max + 1)]
+        else:                          # geometric: C(2k-2, k-1) a^{k-1} (1-a)^k / k
+            terms = [mpmath.binomial(2 * k - 2, k - 1) * x ** (k - 1)
+                     * (1 - x) ** k / k for k in range(1, k_max + 1)]
+        return np.array([float(t) for t in terms])
+
+
+def dwass_relative_error(table, oracle):
+    """Largest relative gap to a positive oracle, skipping a zero oracle."""
+    table = np.asarray(table, dtype=float)
+    oracle = np.asarray(oracle, dtype=float)
+    live = oracle > 0.0
+    assert np.all(table[~live] == 0.0)
+    return float(np.max(np.abs(table[live] - oracle[live]) / oracle[live],
+                        initial=0.0))
+
+
+@st.composite
+def subcritical_laws(draw):
+    """Explicit laws with p_0 >= 1e-3, mean <= 0.999 and up to 60 points."""
+    p0 = draw(st.floats(1e-3, 0.9))
+    size = draw(st.integers(1, 59))
+    points = draw(st.lists(st.integers(1, 80), min_size=size, max_size=size,
+                           unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=size,
+                                     max_size=size)), dtype=float)
+    h = np.array(points, dtype=float)
+    shape = weights / weights.sum()
+    m_shape = float(np.dot(h, shape))
+    lo, hi = 1.0 - p0, min(0.999, (1.0 - p0) * m_shape)
+    mu = lo + draw(st.floats(0.0, 1.0)) * max(hi - lo, 0.0)
+    # mass off zero: t on the drawn shape, the rest on h = 1, mean mu
+    t = (mu / (1.0 - p0) - 1.0) / (m_shape - 1.0) if m_shape > 1.0 else 0.0
+    law = {h_: (1.0 - p0) * t * w for h_, w in zip(points, shape)}
+    law[1] = law.get(1, 0.0) + (1.0 - p0) * (1.0 - t)
+    law[0] = p0
+    total = sum(law.values())
+    return {h_: p / total for h_, p in law.items() if p > 0.0}
 
 
 class TestExtinction:
@@ -79,6 +130,35 @@ class TestDwass:
         oracle = dwass_oracle(law, 12)
         for k in range(1, 13):
             assert table.prob(k) == approx(oracle[k], abs=1e-14)
+
+    @pytest.mark.parametrize("law,k_max", [
+        ({0: 0.7, 3: 0.3}, 2),                             # 3 > k_max
+        ({h: 0.5 ** (h + 1) for h in range(10)} | {10: 0.5 ** 10}, 5),
+        ({0: 0.9, 2: 0.04, 7: 0.06}, 1),
+        ({0: 1.0}, 4),                                     # one-entry table
+    ])
+    def test_support_above_k_max(self, law, k_max):
+        table = total_progeny_pmf_dwass(pmf_from_dict(law), k_max)
+        oracle = dwass_oracle(law, k_max)
+        assert table.support.tolist() == list(range(1, k_max + 1))
+        assert dwass_relative_error(table.probs, list(oracle.values())) <= 1e-12
+
+    @pytest.mark.parametrize("family,param,K", [
+        ("bernoulli", 0.3, None), ("bernoulli", 0.5, None),
+        ("bernoulli", 0.55, None),
+        ("poisson", 0.3, 60), ("poisson", 0.6, 60), ("poisson", 0.9, 60),
+        ("geometric", 0.2, 80), ("geometric", 0.3, 80),
+        ("geometric", 0.45, 80),
+    ])
+    def test_exact_family_laws(self, family, param, K):
+        key = {"bernoulli": "p", "poisson": "lambda", "geometric": "a"}[family]
+        pmf = pmf_from_family(family, {key: param}, truncation_K=K)
+        table = total_progeny_pmf_dwass(pmf, 1000)
+        exact = exact_progeny_law(family, param, 1000)
+        # below ~1e-290 the float table underflows; those rows are not compared
+        kept = exact >= 1e-290
+        assert kept[:100].all()
+        assert dwass_relative_error(table.probs[kept], exact[kept]) <= 1e-12
 
     def test_supercritical_rejected(self):
         with pytest.raises(HypothesisError):
@@ -175,6 +255,18 @@ class TestAgreementInvariants:
         for s in np.linspace(0.0, 1.0, 50):
             series = float(np.dot(table.probs, s ** ks))
             assert abs(series - total_progeny_pgf(pmf, float(s))) \
+                <= table.truncation_deficit + 1e-12
+
+    @given(law=subcritical_laws(), k_max=st.integers(1, 40))
+    def test_random_laws_match_oracle_and_fixed_point(self, law, k_max):
+        pmf = pmf_from_dict(law)
+        table = total_progeny_pmf_dwass(pmf, k_max)
+        oracle = dwass_oracle(law, k_max)
+        assert dwass_relative_error(table.probs, list(oracle.values())) <= 1e-12
+        ks = table.support.astype(float)
+        for s in (0.3, 0.7, 0.95):
+            series = float(np.dot(table.probs, s ** ks))
+            assert abs(series - total_progeny_pgf(pmf, s)) \
                 <= table.truncation_deficit + 1e-12
 
     def test_mean_consistency_bernoulli(self):
