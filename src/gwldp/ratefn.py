@@ -16,6 +16,9 @@ central differences.  Domain edges (finite radius of the generating function)
 are detected through infinite evaluations; suprema attained at an edge are
 refined on a geometric grid, and brackets that exceed |theta| = 700 report the
 capped value with a saturation marker, since exp overflows just beyond there.
+A law's log-pgf is bound once for each cgf evaluator (family parameters, or
+an explicit law's positive-mass arrays), so each of the solver's many cgf
+calls does only the arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ REFINE_TOL = 1e-8       # successive-estimate tolerance for edge suprema
 GOLDEN_TOL = 1e-9       # interval tolerance for 1-D golden-section searches
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,35 +82,78 @@ def _safe_log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
 
 
-def _log_pgf_stable(pmf: Pmf, log_s: float) -> float:
-    """log f(s) at s = exp(log_s), stable for very negative and large log_s."""
-    if log_s > 708.0:
-        return math.inf
+def _log_pgf(pmf: Pmf) -> Callable[[float], float]:
+    """log f(s) at s = exp(log_s) as a function of log_s, for the law pmf.
+
+    Stable for very negative and large log_s.  The family dispatch, the
+    parameters and an explicit law's positive-mass arrays are bound here,
+    once, so that each call does only the arithmetic.  The caller holds the
+    closure; it is never stored on the Pmf, because an extra instance
+    attribute de-specializes CPython's attribute loads on that object and
+    slows every other reader of the law (the direct progeny route among them).
+    """
     fam = pmf.family
     if fam == "bernoulli":
         p = pmf.params["p"]
         if p == 0.0:
-            return 0.0
+            return lambda log_s: math.inf if log_s > 708.0 else 0.0
         if p == 1.0:
-            return log_s
-        return float(np.logaddexp(math.log(1.0 - p), math.log(p) + log_s))
+            return lambda log_s: math.inf if log_s > 708.0 else log_s
+        log_q, log_p = math.log(1.0 - p), math.log(p)
+
+        def bernoulli(log_s: float) -> float:
+            # numpy's logaddexp(log_q, log_p + log_s), step for step, in
+            # scalar libm calls
+            if log_s > 708.0:
+                return math.inf
+            y = log_p + log_s
+            if log_q == y:
+                return log_q + _LOG2
+            tmp = log_q - y
+            if tmp > 0.0:
+                return log_q + math.log1p(math.exp(-tmp))
+            if tmp <= 0.0:
+                return y + math.log1p(math.exp(tmp))
+            return tmp
+        return bernoulli
     if fam == "geometric":
         a = pmf.params["a"]
-        if log_s >= -math.log(a):
-            return math.inf
-        return math.log(1.0 - a) - math.log1p(-a * math.exp(log_s))
+        edge, log_1ma = -math.log(a), math.log(1.0 - a)
+
+        def geometric(log_s: float) -> float:
+            if log_s > 708.0 or log_s >= edge:
+                return math.inf
+            return log_1ma - math.log1p(-a * math.exp(log_s))
+        return geometric
     if fam == "poisson":
         lam = pmf.params["lambda"]
-        return lam * math.expm1(log_s)
+        return lambda log_s: math.inf if log_s > 708.0 else lam * math.expm1(log_s)
+
     pos = pmf.probs > 0.0
     sup = pmf.support[pos].astype(np.float64)
     probs = pmf.probs[pos]
     rel = sup - sup[0]
-    with np.errstate(over="ignore"):
-        acc = float(np.dot(probs, np.exp(log_s * rel)))
-    if not math.isfinite(acc):
-        return math.inf
-    return log_s * float(sup[0]) + math.log(acc)
+    sup_min, rel_max = float(sup[0]), float(rel[-1])
+    # as log_s -> -inf only the lowest support point survives; evaluating
+    # there would give 0 * -inf = nan
+    at_minus_inf = math.log(float(probs[0])) if sup_min == 0.0 else -math.inf
+
+    def explicit(log_s: float) -> float:
+        if log_s > 708.0:
+            return math.inf
+        if log_s == -math.inf:
+            return at_minus_inf
+        # entering errstate costs more than a short sum; below 700 no term
+        # can overflow
+        if log_s * rel_max < 700.0:
+            acc = float(np.dot(probs, np.exp(log_s * rel)))
+        else:
+            with np.errstate(over="ignore"):
+                acc = float(np.dot(probs, np.exp(log_s * rel)))
+        if not math.isfinite(acc):
+            return math.inf
+        return log_s * sup_min + math.log(acc)
+    return explicit
 
 
 def cgf_of_pmf(pmf: Pmf) -> CgfEvaluator:
@@ -124,7 +171,7 @@ def cgf_of_pmf(pmf: Pmf) -> CgfEvaluator:
         s_max = float(pmf.support[pos][-1])
         log_mass_max = _safe_log(float(pmf.probs[pos][-1]))
     return CgfEvaluator(
-        fn=lambda theta: _log_pgf_stable(pmf, theta),
+        fn=_log_pgf(pmf),
         mean=off.mean_exact(pmf),
         theta_max=dom.theta_max,
         support_min=s_min,
@@ -180,12 +227,13 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
     """Cgf of the total progeny with random start: log g(G(exp(beta)))."""
     _require_subcritical(model.f)
     f, g = model.f, model.g
+    log_g = _log_pgf(g)
 
     def fn(beta: float) -> float:
         v = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
         if not math.isfinite(v) or v <= 0.0:
             return math.inf
-        return _log_pgf_stable(g, math.log(v))
+        return log_g(math.log(v))
 
     g_pos = g.probs > 0.0
     r_min = float(g.support[g_pos][0])
@@ -477,6 +525,7 @@ def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
         log_q_max = _safe_log(float(g.probs[g_pos][-1]))
     if z < r_min or z > r_max:
         return RateValue(math.inf, "outside_support", route="oracle")
+    log_g = _log_pgf(g)
 
     def outer(beta: float) -> float:
         c = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
@@ -484,7 +533,7 @@ def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
             return -math.inf
         log_c = math.log(c)
         inner, _ = _conjugate_raw(
-            lambda gamma: _log_pgf_stable(g, gamma + log_c), z,
+            lambda gamma: log_g(gamma + log_c), z,
             support_min=r_min, support_max=r_max,
             log_mass_min=log_q_min + r_min * log_c,
             log_mass_max=None if log_q_max is None else log_q_max + r_max * log_c,
@@ -525,7 +574,7 @@ def rate_estimator_ratio(model: ProgenyModel, x: float) -> RateValue:
     c = rate_offspring(model.f, x).value / (1.0 - x)
     if math.isinf(c):
         return RateValue(math.inf, "offspring_rate_infinite", route="closed")
-    value = -_log_pgf_stable(model.g, -c)
+    value = -_log_pgf(model.g)(-c)
     return RateValue(_nonneg(value), None, route="closed")
 
 

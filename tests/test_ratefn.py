@@ -8,11 +8,14 @@ Closed-form oracles used here are derived independently of the library:
 * two-point law on {1, 2} with equal masses:
   I(z) = (2-z) log(2(2-z)) + (z-1) log(2(z-1)) on [1, 2]
 
-and a dense-grid brute-force maximization of theta*x - Lambda(theta).
+and a dense-grid brute-force maximization of theta*x - Lambda(theta).  The
+same family rates, evaluated at 50 digits with mpmath, check relative error.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -70,6 +73,61 @@ def two_point_rate_oracle(z):
         if w > 0.0:
             total += w * math.log(2.0 * w)
     return total
+
+
+def reference_log_pgf(pmf, log_s):
+    """log f(exp(log_s)) as computed per call, arrays rebuilt each time.
+
+    The bound evaluators of cgf_of_pmf must reproduce it bit for bit.
+    """
+    if log_s > 708.0:
+        return math.inf
+    fam = pmf.family
+    if fam == "bernoulli":
+        p = pmf.params["p"]
+        if p == 0.0:
+            return 0.0
+        if p == 1.0:
+            return log_s
+        return float(np.logaddexp(math.log(1.0 - p), math.log(p) + log_s))
+    if fam == "geometric":
+        a = pmf.params["a"]
+        if log_s >= -math.log(a):
+            return math.inf
+        return math.log(1.0 - a) - math.log1p(-a * math.exp(log_s))
+    if fam == "poisson":
+        lam = pmf.params["lambda"]
+        return lam * math.expm1(log_s)
+    pos = pmf.probs > 0.0
+    sup = pmf.support[pos].astype(np.float64)
+    probs = pmf.probs[pos]
+    rel = sup - sup[0]
+    with np.errstate(over="ignore"):
+        acc = float(np.dot(probs, np.exp(log_s * rel)))
+    if not math.isfinite(acc):
+        return math.inf
+    return log_s * float(sup[0]) + math.log(acc)
+
+
+def exact_offspring_rate(family, param, x):
+    """Cramer rate I(x) of the untruncated family at 50 digits, as an mpf."""
+    with mpmath.workdps(50):
+        x, a = mpmath.mpf(x), mpmath.mpf(param)
+
+        def xlog(u, v):   # u log v with 0 log 0 = 0
+            return mpmath.mpf(0) if u == 0 else u * mpmath.log(v)
+
+        if family == "bernoulli":
+            return xlog(x, x / a) + xlog(1 - x, (1 - x) / (1 - a))
+        if family == "poisson":
+            return xlog(x, x / a) - x + a
+        return (xlog(x, x / (a * (1 + x))) - mpmath.log(1 - a)
+                - mpmath.log(1 + x))
+
+
+def relative_error(got, exact):
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(got) - exact) / exact)
 
 
 def grid_search_conjugate(support, probs, x, lo=-30.0, hi=30.0, n=2_000_001):
@@ -167,6 +225,59 @@ class TestCgfEvaluators:
         f = pmf_from_family("geometric", {"a": 0.3}, truncation_K=40)
         cgf = cgf_progeny_unit(f)
         assert cgf.theta_max == approx(math.log(1.0 / (4 * 0.3 * 0.7)), abs=1e-8)
+
+
+class TestBoundLogPgf:
+    GEOMETRIC = pmf_from_family("geometric", {"a": 0.3}, truncation_K=40)
+    WIDE = pmf_from_dict({3 + 2 * i: (60 - i) / 1830.0 for i in range(60)})
+
+    @pytest.mark.parametrize("pmf", [
+        pmf_from_family("bernoulli", {"p": 0.0}),
+        pmf_from_family("bernoulli", {"p": 0.5}),
+        pmf_from_family("bernoulli", {"p": 1.0}),
+        GEOMETRIC,
+        pmf_from_family("poisson", {"lambda": 0.6}, truncation_K=40),
+        BERN,
+        G_HALF,
+        WIDE,
+    ], ids=["bernoulli-0", "bernoulli-half", "bernoulli-1", "geometric",
+            "poisson", "explicit-01", "explicit-12", "explicit-wide"])
+    def test_matches_per_call_reference(self, pmf):
+        thetas = [float(t) for t in np.linspace(-700.0, 720.0, 5681)]
+        thetas += [0.0, -0.0, 708.0, math.nextafter(708.0, math.inf)]
+        edge = -math.log(0.3)            # the geometric law's domain edge
+        thetas += [math.nextafter(edge, -math.inf), edge,
+                   math.nextafter(edge, math.inf)]
+        # the wide law's spread is 118: both overflow thresholds, closely
+        for cross in (700.0 / 118.0, 709.78 / 118.0):
+            thetas += [float(t) for t in np.linspace(cross - 0.01, cross + 0.01,
+                                                     201)]
+            thetas += [math.nextafter(cross, -math.inf), cross,
+                       math.nextafter(cross, math.inf)]
+        fn = cgf_of_pmf(pmf).fn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad = [t for t in thetas if fn(t) != reference_log_pgf(pmf, t)]
+        assert not bad, f"{len(bad)} mismatches, first at theta={bad[0]!r}"
+
+    def test_explicit_limit_at_minus_infinity(self):
+        # only the lowest support point survives: log p_0 with mass at zero,
+        # -inf when the law starts above zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (cgf_of_pmf(pmf_from_dict({0: 0.6, 2: 0.4})).fn(-math.inf)
+                    == math.log(0.6))
+            assert cgf_of_pmf(G_HALF).fn(-math.inf) == -math.inf
+
+    def test_laws_keep_their_attributes(self):
+        # evaluators are bound per cgf, never stored on the shared law
+        f, g = pmf_from_dict({0: 0.5, 1: 0.5}), pmf_from_dict({1: 0.5, 2: 0.5})
+        model = build_model(f, g)
+        before = (sorted(vars(f)), sorted(vars(g)))
+        rate_offspring(f, 0.25)
+        rate_bivariate_oracle(model, 3.0, 1.5)
+        rate_estimator_meaninit(model, 0.25)
+        assert (sorted(vars(f)), sorted(vars(g))) == before
 
 
 class TestProgenyRates:
@@ -406,3 +517,68 @@ class TestRateInvariants:
         assert isinstance(rv, RateValue)
         with pytest.raises(AttributeError):
             rv.value = 0.0
+
+
+class TestHighPrecisionClosedForms:
+    """Relative agreement with the family closed forms at 50 digits.
+
+    Points where the exact rate is below 1e-3 are skipped: near the mean the
+    solver's absolute error floor dominates any relative measure.
+    """
+
+    LAWS = [("bernoulli", 0.5, None), ("bernoulli", 0.3, None),
+            ("poisson", 0.6, 40), ("geometric", 0.3, 40)]
+    PARAM = {"bernoulli": "p", "poisson": "lambda", "geometric": "a"}
+
+    def law(self, family, param, K):
+        return pmf_from_family(family, {self.PARAM[family]: param},
+                               truncation_K=K)
+
+    @pytest.mark.parametrize("family,param,K", LAWS)
+    def test_offspring_rate(self, family, param, K):
+        f = self.law(family, param, K)
+        hi = 1.0 if family == "bernoulli" else 4.0
+        checked = 0
+        for x in np.linspace(0.0, hi, 41):
+            exact = exact_offspring_rate(family, param, float(x))
+            if exact < 1e-3:
+                continue
+            checked += 1
+            assert relative_error(rate_offspring(f, float(x)).value,
+                                  exact) <= 1e-12, x
+        assert checked >= 35
+
+    def test_progeny_rate_both_routes(self):
+        f = self.law("poisson", 0.6, 40)
+        checked = 0
+        for y in np.linspace(1.05, 6.0, 34):
+            y = float(y)
+            with mpmath.workdps(50):
+                exact = y * exact_offspring_rate(
+                    "poisson", 0.6, (mpmath.mpf(y) - 1) / y)
+            if exact < 1e-3:
+                continue
+            checked += 1
+            assert relative_error(rate_progeny_closed(f, y).value,
+                                  exact) <= 1e-9, y
+            assert relative_error(rate_progeny_direct(f, y).value,
+                                  exact) <= 1e-9, y
+        assert checked >= 30
+
+    @pytest.mark.parametrize("family,param,K", [LAWS[0], LAWS[2], LAWS[3]])
+    def test_ratio_estimator_rate(self, family, param, K):
+        # -log g(exp(-I_f(x)/(1-x))) with g(s) = (s + s^2)/2
+        model = build_model(self.law(family, param, K), G_HALF)
+        checked = 0
+        for x in np.linspace(0.0, 0.9, 37):
+            x = float(x)
+            with mpmath.workdps(50):
+                s = mpmath.exp(-exact_offspring_rate(family, param, x)
+                               / (1 - mpmath.mpf(x)))
+                exact = -mpmath.log((s + s * s) / 2)
+            if exact < 1e-3:
+                continue
+            checked += 1
+            assert relative_error(rate_estimator_ratio(model, x).value,
+                                  exact) <= 1e-12, x
+        assert checked >= 30
