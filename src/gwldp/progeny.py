@@ -129,16 +129,18 @@ def total_progeny_pgf(f: Pmf, s: float,
                       newton_residual: float = NEWTON_RESIDUAL) -> float:
     """Unit-start total-progeny generating function G(s), G = s * f(G).
 
-    For s in [0, 1] the monotone iteration G <- s*f(G) from 0 converges to
-    the minimal root.  For s > 1 the series is continued analytically as the
-    smallest root > 0 of s*f(u) = u, found by damped Newton from u = 1;
-    when no such root exists (s beyond the convergence domain) the infinite
-    marker is returned.
+    G(1) = P(Y < inf) = 1 exactly for every law admitted here.  On [0, 1) the
+    monotone iteration G <- s*f(G) from 0 converges to the minimal root.  For
+    s > 1 the series is continued analytically as the smallest root > 0 of
+    s*f(u) = u, found by damped Newton from u = 1; when no such root exists
+    (s beyond the convergence domain) the infinite marker is returned.
     """
     _require_proper(f)
     if s < 0.0:
         raise HypothesisError(f"pgf argument must be nonnegative, got {s}")
-    if s <= 1.0:
+    if s == 1.0:
+        return 1.0
+    if s < 1.0:
         g = 0.0
         for _ in range(FIXED_POINT_MAX_ITER):
             g_next = s * off.pgf_exact(f, g)
@@ -187,6 +189,4 @@ def progeny_mean(model: ProgenyModel) -> float:
         raise HypothesisError(
             f"total progeny mean requires offspring mean <= 1, got {model.mu_f!r}"
         )
-    if model.mu_f == 1.0:
-        return math.inf if model.mu_g > 0.0 else 0.0
-    return model.mu_g / (1.0 - model.mu_f)
+    return model.nu

@@ -5,20 +5,20 @@ of some cumulant generating function Lambda.  Two construction routes exist
 for most rates:
 
 * closed forms that compose the offspring rate I_f and the initial-population
-  rate I_g (progeny rate y*I_f((y-1)/y), bivariate rate, the two estimator
-  rates, and the variational mean-initial rate), and
+  rate I_g: progeny rate y*I_f((y-1)/y), bivariate rate, the two estimator
+  rates, and the contraction inf_z y*I_f((y-z)/y) + I_g(z) behind the
+  mean-initial and random-start rates, solved by its Fenchel dual (one
+  conjugate of y*Lambda_f + Lambda_g);
 * direct numerical conjugates of the relevant cgf, which serve as independent
   oracles for the closed forms.
 
 The conjugate solver is derivative-free: the dual root of Lambda'(theta) = x
 is bracketed by exponential expansion and bisected, with Lambda' estimated by
-central differences.  Domain edges (finite radius of the generating function)
-are detected through infinite evaluations; suprema attained at an edge are
-refined on a geometric grid, and brackets that exceed |theta| = 700 report the
-capped value with a saturation marker, since exp overflows just beyond there.
-A law's log-pgf is bound once for each cgf evaluator (family parameters, or
-an explicit law's positive-mass arrays), so each of the solver's many cgf
-calls does only the arithmetic.
+central differences.  It finds domain edges through infinite evaluations (the
+progeny cgf's edge is also exact, from the tangency u f'(u) = f(u)), refines
+suprema attained at an edge on a geometric grid, and reports brackets beyond
+|theta| = 700, where exp overflows, as capped values with a saturation marker.
+A law's log-pgf is bound once per cgf evaluator, so a cgf call is arithmetic.
 """
 
 from __future__ import annotations
@@ -181,18 +181,46 @@ def cgf_of_pmf(pmf: Pmf) -> CgfEvaluator:
     )
 
 
-def _finiteness_sup(fn: Callable[[float], float], cap: float = THETA_CAP) -> float:
-    """Right boundary of {theta >= 0 : fn(theta) < inf}, located by bisection."""
-    if math.isfinite(fn(cap)):
-        return math.inf
-    lo, hi = 0.0, cap
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if math.isfinite(fn(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _tilted_mean(pmf: Pmf, theta: float) -> float:
+    """Lambda'(theta): the mean of pmf tilted by exp(theta*h)."""
+    if pmf.family == "geometric":
+        return 1.0 / (math.exp(-theta) / pmf.params["a"] - 1.0)
+    if pmf.family == "poisson":
+        return pmf.params["lambda"] * math.exp(theta)
+    pos = pmf.probs > 0.0
+    sup = pmf.support[pos].astype(np.float64)
+    # anchor the exponents at the end the tilt favours: none can overflow
+    w = pmf.probs[pos] * np.exp(theta * (sup - (sup[-1] if theta > 0.0 else sup[0])))
+    return float(np.dot(sup, w) / w.sum())
+
+
+def _progeny_edge(f: Pmf, u_cap: float = math.inf) -> float:
+    """log s*, the right end of the domain of beta -> log G(exp(beta)).
+
+    G(s) is the smallest root of u = s*f(u), so s* is the maximum of u/f(u):
+    at the tangency u* f'(u*) = f(u*) for a strictly convex f, 1/p_1 for a
+    linear one.  An outer generating function with radius u_cap below u*
+    caps the edge at u_cap/f(u_cap), where G reaches that radius.
+    """
+    if f.family == "poisson":
+        u_star = 1.0 / f.params["lambda"]
+    elif f.family == "geometric":
+        u_star = 0.5 / f.params["a"]
+    elif f.support[f.probs > 0.0][-1] <= 1:
+        u_star = math.inf
+    else:
+        # u f'(u) - f(u) = sum (h-1) p_h u^h rises on u > 0 and is negative at
+        # u = 1 (mu_f < 1): double past its sign change, then bisect to an ulp
+        def rising(u: float) -> bool:
+            return u * off.pgf_derivative_exact(f, u) >= off.pgf_exact(f, u)
+        u_star, hi = 1.0, math.inf
+        while u_star < (mid := min(2.0 * u_star, 0.5 * (u_star + hi))) < hi:
+            u_star, hi = (u_star, mid) if rising(mid) else (mid, hi)
+    u = min(u_star, u_cap)
+    if math.isinf(u):
+        return -_safe_log(f.prob(1))
+    # u/f(u) is stationary at u*, so an error in u* barely moves the edge
+    return math.log(u / off.pgf_exact(f, u))
 
 
 def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
@@ -207,27 +235,23 @@ def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
         v = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
         return math.log(v) if math.isfinite(v) and v > 0.0 else math.inf
 
-    mu_f = off.mean_exact(f)
-    if f.max_support == 0:
-        s_max, log_mass_max = 1.0, 0.0   # no offspring ever: Y = 1 surely
-    else:
-        s_max, log_mass_max = math.inf, None
+    childless = f.max_support == 0   # no offspring ever: Y = 1 surely
     return CgfEvaluator(
         fn=fn,
-        mean=1.0 / (1.0 - mu_f),
-        theta_max=_finiteness_sup(fn),
+        mean=1.0 / (1.0 - off.mean_exact(f)),
+        theta_max=_progeny_edge(f),
         support_min=1.0,
-        support_max=s_max,
+        support_max=1.0 if childless else math.inf,
         log_mass_min=_safe_log(f.p0),
-        log_mass_max=log_mass_max,
+        log_mass_max=0.0 if childless else None,
     )
 
 
 def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
     """Cgf of the total progeny with random start: log g(G(exp(beta)))."""
     _require_subcritical(model.f)
-    f, g = model.f, model.g
-    log_g = _log_pgf(g)
+    f, cg = model.f, cgf_of_pmf(model.g)
+    log_g = cg.fn
 
     def fn(beta: float) -> float:
         v = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
@@ -235,22 +259,16 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
             return math.inf
         return log_g(math.log(v))
 
-    g_pos = g.probs > 0.0
-    r_min = float(g.support[g_pos][0])
-    if f.max_support == 0 and g.family not in ("geometric", "poisson"):
-        s_max = float(g.support[g_pos][-1])
-        log_mass_max = _safe_log(float(g.probs[g_pos][-1]))
-    else:
-        s_max, log_mass_max = math.inf, None
+    childless = f.max_support == 0   # Y = Z; otherwise Y is unbounded
     # P(Y = r_min) = q_{r_min} * p_0^{r_min}: all initial individuals childless
     return CgfEvaluator(
         fn=fn,
         mean=model.nu,
-        theta_max=_finiteness_sup(fn),
-        support_min=r_min,
-        support_max=s_max,
-        log_mass_min=_safe_log(float(g.probs[g_pos][0])) + r_min * _safe_log(f.p0),
-        log_mass_max=log_mass_max,
+        theta_max=_progeny_edge(f, off.gen_fn_domain(model.g).radius),
+        support_min=cg.support_min,
+        support_max=cg.support_max if childless else math.inf,
+        log_mass_min=cg.log_mass_min + cg.support_min * _safe_log(f.p0),
+        log_mass_max=cg.log_mass_max if childless else None,
     )
 
 
@@ -515,17 +533,10 @@ def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
     if not (y >= z > 0.0):
         return RateValue(math.inf, "outside_cone", route="oracle")
 
-    g_pos = g.probs > 0.0
-    r_min = float(g.support[g_pos][0])
-    log_q_min = _safe_log(float(g.probs[g_pos][0]))
-    if g.family in ("geometric", "poisson"):
-        r_max, log_q_max = math.inf, None
-    else:
-        r_max = float(g.support[g_pos][-1])
-        log_q_max = _safe_log(float(g.probs[g_pos][-1]))
+    cg = cgf_of_pmf(g)
+    log_g, r_min, r_max, log_q_max = cg.fn, cg.support_min, cg.support_max, cg.log_mass_max
     if z < r_min or z > r_max:
         return RateValue(math.inf, "outside_support", route="oracle")
-    log_g = _log_pgf(g)
 
     def outer(beta: float) -> float:
         c = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
@@ -535,18 +546,12 @@ def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
         inner, _ = _conjugate_raw(
             lambda gamma: log_g(gamma + log_c), z,
             support_min=r_min, support_max=r_max,
-            log_mass_min=log_q_min + r_min * log_c,
+            log_mass_min=cg.log_mass_min + r_min * log_c,
             log_mass_max=None if log_q_max is None else log_q_max + r_max * log_c,
         )
         return beta * y + inner
 
-    def beta_domain(beta: float) -> float:
-        c = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
-        return 0.0 if math.isfinite(c) else math.inf
-
-    right = _finiteness_sup(beta_domain)
-    if math.isinf(right):
-        right = THETA_CAP
+    right = min(_progeny_edge(f), THETA_CAP)
     left = -48.0
     marker: float | str
     while True:
@@ -595,43 +600,45 @@ def rate_estimator_deterministic(f: Pmf, mu_g: float, x: float) -> RateValue:
     return RateValue(value, None, route="closed")
 
 
-def _min_bivariate_over_z(model: ProgenyModel, y: float,
-                          tol: float = GOLDEN_TOL) -> tuple[float, float | None]:
+def _min_bivariate_over_z(model: ProgenyModel, y: float, route: str) -> RateValue:
     """inf over z of y*I_f((y-z)/y) + I_g(z), the marginal/contraction kernel.
 
-    Both summands are infinite outside r_min <= z <= min(y, r_max), so the
-    search bracket is exactly that interval; the objective is convex there.
+    Solved by its Fenchel dual, sup over theta of theta*y - K(theta), where
+    K = y*Lambda_f + Lambda_g is the cgf of y offspring counts plus one initial
+    population.  The minimizing z is g's tilted mean at the optimal theta.
     """
-    g = model.g
-    g_pos = g.probs > 0.0
-    r_min = float(g.support[g_pos][0])
-    if g.family in ("geometric", "poisson"):
-        z_hi = y
-    else:
-        z_hi = min(y, float(g.support[g_pos][-1]))
-    if r_min > z_hi:
-        return math.inf, None
+    cf, cg = cgf_of_pmf(model.f), cgf_of_pmf(model.g)
+    log_f, log_g = cf.fn, cg.fn
+    log_mass_max = (None if cf.log_mass_max is None or cg.log_mass_max is None
+                    else y * cf.log_mass_max + cg.log_mass_max)
+    value, theta = _conjugate_raw(
+        lambda t: y * log_f(t) + log_g(t), y,
+        support_min=y * cf.support_min + cg.support_min,
+        support_max=y * cf.support_max + cg.support_max,
+        log_mass_min=y * cf.log_mass_min + cg.log_mass_min,
+        log_mass_max=log_mass_max,
+    )
+    if math.isinf(value):
+        return RateValue(value, None, route=route)
+    if isinstance(theta, float):
+        # the solver leaves theta ~1e-8 off the root of K'(theta) = y; one
+        # secant step on the exact tilted means lands it there
+        def slope(t: float) -> float:
+            return y * _tilted_mean(model.f, t) + _tilted_mean(model.g, t) - y
+        d0, d1 = slope(theta), slope(theta - 1e-6)
+        if abs(d0) < abs(d0 - d1):    # the step stays within 1e-6
+            theta -= d0 * 1e-6 / (d0 - d1)
+        z_star = _tilted_mean(model.g, theta)
+    else:   # a boundary marker: the end of r_min <= z <= min(y, r_max) it points to
+        z_star = cg.support_min if y < y * cf.mean + cg.mean else min(y, cg.support_max)
+    return RateValue(_nonneg(value), None, route=route, argmin_z=z_star)
 
-    def objective(z: float) -> float:
-        return (y * rate_offspring(model.f, (y - z) / y).value
-                + rate_initial(g, z).value)
 
-    if z_hi - r_min <= tol:
-        return objective(r_min), r_min
-    z_star, v_star = golden_min(objective, r_min, z_hi, tol=tol)
-    for z_end in (r_min, z_hi):
-        v_end = objective(z_end)
-        if v_end < v_star:
-            z_star, v_star = z_end, v_end
-    return v_star, z_star
-
-
-def rate_estimator_meaninit(model: ProgenyModel, x: float,
-                            tol: float = GOLDEN_TOL) -> RateValue:
+def rate_estimator_meaninit(model: ProgenyModel, x: float) -> RateValue:
     """Rate of the estimator (Ybar - mu_g)/Ybar, by the variational formula.
 
     Minimizes the joint rate along y = mu_g/(1-x) over the initial-mean
-    variable z.  For a childless offspring law the minimizer is pinned at
+    variable z, through the dual.  For a childless law the minimizer is pinned at
     z = mu_g/(1-x) and the rate collapses to I_g there, which also yields the
     finite range x >= 1 - mu_g/r_min.
     """
@@ -643,8 +650,7 @@ def rate_estimator_meaninit(model: ProgenyModel, x: float,
         inner = rate_initial(model.g, y0)
         return RateValue(inner.value, inner.argmax_theta, route="direct",
                          argmin_z=y0 if math.isfinite(inner.value) else None)
-    value, z_star = _min_bivariate_over_z(model, y0, tol=tol)
-    return RateValue(value, None, route="direct", argmin_z=z_star)
+    return _min_bivariate_over_z(model, y0, "direct")
 
 
 def rate_progeny_marginal(model: ProgenyModel, y: float) -> RateValue:
@@ -657,8 +663,7 @@ def rate_progeny_marginal(model: ProgenyModel, y: float) -> RateValue:
     g = model.g
     if g.support.size == 1 and g.min_support == 1:
         return rate_progeny_closed(model.f, y)
-    value, z_star = _min_bivariate_over_z(model, y)
-    return RateValue(value, None, route="closed", argmin_z=z_star)
+    return _min_bivariate_over_z(model, y, "closed")
 
 
 def ratio_rate_via_contraction(model: ProgenyModel, x: float,
@@ -671,24 +676,19 @@ def ratio_rate_via_contraction(model: ProgenyModel, x: float,
     _require_estimator_hypotheses(model)
     if not 0.0 <= x < 1.0:
         return RateValue(math.inf, "outside_domain", route="oracle")
-    g = model.g
-    g_pos = g.probs > 0.0
-    r_min = float(g.support[g_pos][0])
-    if g.family in ("geometric", "poisson"):
-        z_hi = r_min + 80.0   # convex objective grows linearly; generous cap
-    else:
-        z_hi = float(g.support[g_pos][-1])
+    cg = cgf_of_pmf(model.g)
+    r_min = cg.support_min
+    # an infinite support gets a generous cap: the convex objective grows
+    # linearly
+    z_hi = cg.support_max if math.isfinite(cg.support_max) else r_min + 80.0
 
     def objective(z: float) -> float:
         return rate_bivariate(model, z / (1.0 - x), z).value
 
-    if z_hi - r_min <= tol:
-        return RateValue(objective(r_min), None, route="oracle", argmin_z=r_min)
-    z_star, v_star = golden_min(objective, r_min, z_hi, tol=tol)
-    for z_end in (r_min, z_hi):
-        v_end = objective(z_end)
-        if v_end < v_star:
-            z_star, v_star = z_end, v_end
+    # an end of the bracket replaces the search's minimum only when lower
+    z_star, v_star = min([golden_min(objective, r_min, z_hi, tol=tol)]
+                         + [(z, objective(z)) for z in (r_min, z_hi)],
+                         key=lambda zv: zv[1])
     return RateValue(v_star, None, route="oracle", argmin_z=z_star)
 
 

@@ -179,6 +179,13 @@ class TestFixedPointPgf:
     def test_mass_conservation_at_one(self):
         assert total_progeny_pgf(BERN, 1.0) == approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("law", [{0: 0.5, 2: 0.5}, {0: 0.5005, 2: 0.4995}],
+                             ids=["critical", "near-critical"])
+    def test_exactly_one_at_one(self, law):
+        # G(1) = P(Y < inf) = 1 for every proper law, however slowly the
+        # fixed-point iteration would creep up to it
+        assert total_progeny_pgf(pmf_from_dict(law), 1.0) == 1.0
+
     def test_unit_progeny(self):
         assert total_progeny_pgf(pmf_from_dict({0: 1.0}), 0.7) == approx(0.7)
 
@@ -264,7 +271,7 @@ class TestAgreementInvariants:
         oracle = dwass_oracle(law, k_max)
         assert dwass_relative_error(table.probs, list(oracle.values())) <= 1e-12
         ks = table.support.astype(float)
-        for s in (0.3, 0.7, 0.95):
+        for s in (0.3, 0.7, 0.95, 1.0):
             series = float(np.dot(table.probs, s ** ks))
             assert abs(series - total_progeny_pgf(pmf, s)) \
                 <= table.truncation_deficit + 1e-12

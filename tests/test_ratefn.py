@@ -21,6 +21,7 @@ import pytest
 from pytest import approx
 
 import gwldp as gw
+from gwldp import ratefn
 from gwldp import (HypothesisError, RateValue, build_model, cgf_of_pmf,
                    cgf_progeny_unit, compare_rates, legendre, pmf_from_dict,
                    pmf_from_family, rate_bivariate, rate_bivariate_oracle,
@@ -582,3 +583,231 @@ class TestHighPrecisionClosedForms:
             assert relative_error(rate_estimator_ratio(model, x).value,
                                   exact) <= 1e-12, x
         assert checked >= 30
+
+
+# ---------------------------------------------------------------------------
+# the progeny cgf's domain edge and the dual of the z-contraction
+# ---------------------------------------------------------------------------
+
+def exact_cgf(family, param):
+    """(Lambda, Lambda') of a law as mpmath functions of theta.
+
+    family is bernoulli, poisson or geometric with its parameter, or explicit
+    with param a {support: probability} table.
+    """
+    if family == "explicit":
+        pairs = [(mpmath.mpf(k), mpmath.mpf(q)) for k, q in param.items()]
+
+        def lam(t):
+            return mpmath.log(sum(q * mpmath.exp(t * r) for r, q in pairs))
+
+        def dlam(t):
+            return (sum(r * q * mpmath.exp(t * r) for r, q in pairs)
+                    / sum(q * mpmath.exp(t * r) for r, q in pairs))
+        return lam, dlam
+    a = mpmath.mpf(param)
+    if family == "bernoulli":
+        return (lambda t: mpmath.log(1 - a + a * mpmath.exp(t)),
+                lambda t: a * mpmath.exp(t) / (1 - a + a * mpmath.exp(t)))
+    if family == "poisson":
+        return (lambda t: a * mpmath.expm1(t), lambda t: a * mpmath.exp(t))
+    return (lambda t: mpmath.log((1 - a) / (1 - a * mpmath.exp(t))),
+            lambda t: a * mpmath.exp(t) / (1 - a * mpmath.exp(t)))
+
+
+def exact_contraction(f_law, g_law, y):
+    """inf over z of y*I_f((y-z)/y) + I_g(z) at 40 digits, with its argmin.
+
+    The optimal theta solves y*(1 - Lambda_f'(theta)) = Lambda_g'(theta),
+    found by a bracketing root finder; the value is theta*y - y*Lambda_f -
+    Lambda_g there and the minimizing z is Lambda_g'(theta).  Returns
+    (value, z) as mpfs.
+    """
+    with mpmath.workdps(40):
+        lam_f, dlam_f = exact_cgf(*f_law)
+        lam_g, dlam_g = exact_cgf(*g_law)
+        y = mpmath.mpf(y)
+        edges = [-mpmath.log(mpmath.mpf(law[1])) for law in (f_law, g_law)
+                 if law[0] == "geometric"]
+        lo, hi = mpmath.mpf(-64), min(edges + [mpmath.mpf(64)])
+        for _ in range(30):     # a coarse bracket first
+            mid = (lo + hi) / 2
+            if y * dlam_f(mid) + dlam_g(mid) < y:
+                lo = mid
+            else:
+                hi = mid
+        theta = mpmath.findroot(lambda t: y * dlam_f(t) + dlam_g(t) - y,
+                                (lo, hi), solver="anderson")
+        return theta * y - y * lam_f(theta) - lam_g(theta), dlam_g(theta)
+
+
+def golden_primal(model, y):
+    """The contraction by golden section over z, as the library solved it
+    before the dual: every step runs two Legendre solves."""
+    g_pos = model.g.probs > 0.0
+    r_min = float(model.g.support[g_pos][0])
+    z_hi = y if model.g.family in ("geometric", "poisson") else min(
+        y, float(model.g.support[g_pos][-1]))
+
+    def objective(z):
+        return (y * rate_offspring(model.f, (y - z) / y).value
+                + rate_initial(model.g, z).value)
+
+    z_star, v_star = ratefn.golden_min(objective, r_min, z_hi)
+    for z_end in (r_min, z_hi):
+        if objective(z_end) < v_star:
+            z_star, v_star = z_end, objective(z_end)
+    return v_star
+
+
+F_LAWS = [("bernoulli", 0.5, None), ("geometric", 0.3, 40), ("poisson", 0.6, 40)]
+F_PARAM = {"bernoulli": "p", "geometric": "a", "poisson": "lambda"}
+G13 = {1: 0.5, 3: 0.5}
+
+
+def family_law(family, param, K):
+    return pmf_from_family(family, {F_PARAM[family]: param}, truncation_K=K)
+
+
+class TestProgenyEdge:
+    """theta_max = log s*, s* the largest s with G(s) finite.
+
+    The bound is on s* relative, i.e. on theta_max absolute: near
+    criticality theta_max is tiny and no double-precision formula gets it to
+    1e-15 relative (at lambda = 0.99 the best reaches 8.6e-15).
+    """
+
+    @staticmethod
+    def assert_edge(got, exact):
+        """exact() gives s* and is evaluated at 40 digits."""
+        with mpmath.workdps(40):
+            assert float(abs(mpmath.mpf(got) - mpmath.log(exact()))) <= 1e-15
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    def test_bernoulli(self, p):
+        # linear f: u/f(u) rises to 1/p and G(s) = s(1-p)/(1-sp) blows up there
+        f = pmf_from_family("bernoulli", {"p": p})
+        self.assert_edge(cgf_progeny_unit(f).theta_max, lambda: 1 / mpmath.mpf(p))
+
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.45])
+    def test_geometric(self, a):
+        f = pmf_from_family("geometric", {"a": a}, truncation_K=200)
+        self.assert_edge(cgf_progeny_unit(f).theta_max,
+                         lambda: 1 / (4 * mpmath.mpf(a) * (1 - mpmath.mpf(a))))
+
+    @pytest.mark.parametrize("lam", [0.6, 0.99])
+    def test_poisson(self, lam):
+        f = pmf_from_family("poisson", {"lambda": lam}, truncation_K=80)
+        self.assert_edge(cgf_progeny_unit(f).theta_max, lambda: 1 / (
+            mpmath.mpf(lam) * mpmath.exp(1 - mpmath.mpf(lam))))
+
+    def test_explicit_tangency(self):
+        # u f'(u) = f(u) for f(u) = 0.6 + 0.4 u^2 at u* = sqrt(1.5)
+        f = pmf_from_dict({0: 0.6, 2: 0.4})
+
+        def exact():
+            u = mpmath.sqrt(mpmath.mpf(1.5))
+            return u / (mpmath.mpf(0.6) + mpmath.mpf(0.4) * u * u)
+        self.assert_edge(cgf_progeny_unit(f).theta_max, exact)
+
+    def test_compound_capped_by_initial_radius(self):
+        # Bernoulli(1/2) offspring never reaches a tangency; G hits g's radius
+        # u_g = 1/a_g first, at s = u_g/f(u_g)
+        g = pmf_from_family("geometric", {"a": 0.3}, truncation_K=40)
+        model = build_model(BERN, g)
+
+        def exact():
+            u_g = 1 / mpmath.mpf(0.3)
+            return u_g / (mpmath.mpf(0.5) + mpmath.mpf(0.5) * u_g)
+        self.assert_edge(ratefn.cgf_progeny_compound(model).theta_max, exact)
+        assert ratefn.cgf_progeny_compound(model).theta_max < \
+            cgf_progeny_unit(BERN).theta_max
+
+    @pytest.mark.parametrize("f", [
+        pmf_from_family("geometric", {"a": 0.3}, truncation_K=40),
+        pmf_from_family("poisson", {"lambda": 0.6}, truncation_K=40),
+        pmf_from_dict({0: 0.6, 2: 0.4}),
+        pmf_from_dict({0: 0.6, 1: 0.2, 3: 0.15, 5: 0.05}),
+    ])
+    def test_edge_is_offspring_rate_at_one(self, f):
+        # max over u of log(u/f(u)) is sup over theta of theta - Lambda_f:
+        # the edge equals I_f(1), which the conjugate solver finds on its own
+        assert cgf_progeny_unit(f).theta_max == approx(
+            rate_offspring(f, 1.0).value, rel=1e-11)
+
+
+class TestContractionDual:
+    """rate_estimator_meaninit and rate_progeny_marginal solve
+    inf_z y*I_f((y-z)/y) + I_g(z) through its dual, one conjugate."""
+
+    @pytest.mark.parametrize("family,param,K", F_LAWS)
+    @pytest.mark.parametrize("g_table", [{1: 0.5, 2: 0.5}, G13],
+                             ids=["g12", "g13"])
+    def test_meaninit_against_high_precision(self, family, param, K, g_table):
+        model = build_model(family_law(family, param, K), pmf_from_dict(g_table))
+        checked = 0
+        for x in np.linspace(0.0, 0.9, 19):
+            x = float(x)
+            exact, z_exact = exact_contraction((family, param),
+                                               ("explicit", g_table),
+                                               model.mu_g / (1.0 - x))
+            rv = rate_estimator_meaninit(model, x)
+            assert abs(rv.argmin_z - float(z_exact)) <= 1e-9, x
+            if exact < 1e-3:
+                continue
+            checked += 1
+            assert relative_error(rv.value, exact) <= 1e-12, x
+        assert checked >= 14
+
+    @pytest.mark.parametrize("family,param,K", F_LAWS)
+    @pytest.mark.parametrize("g_table", [{1: 0.5, 2: 0.5}, G13],
+                             ids=["g12", "g13"])
+    def test_meaninit_against_golden_primal(self, family, param, K, g_table):
+        model = build_model(family_law(family, param, K), pmf_from_dict(g_table))
+        for x in np.linspace(0.0, 0.9, 7):
+            x = float(x)
+            primal = golden_primal(model, model.mu_g / (1.0 - x))
+            assert rate_estimator_meaninit(model, x).value == approx(
+                primal, rel=1e-12, abs=1e-15), x
+
+    def test_support_ends(self):
+        # P(Ybar = 2) = (q_2 p_0^2)^n: every start is two childless individuals
+        model = build_model(BERN, pmf_from_dict({2: 0.5, 3: 0.5}))
+        low = rate_progeny_marginal(model, 2.0)
+        assert low.value == approx(math.log(8.0), rel=1e-15)
+        assert low.argmin_z == 2.0
+        below = rate_progeny_marginal(model, 1.5)
+        assert math.isinf(below.value) and below.argmin_z is None
+        # a childless f makes Y = Z, whose top is P(Z = 3) = 1/2
+        childless = build_model(pmf_from_dict({0: 1.0}), pmf_from_dict(G13))
+        top = rate_progeny_marginal(childless, 3.0)
+        assert top.value == approx(math.log(2.0), rel=1e-15)
+        assert top.argmin_z == 3.0
+        assert math.isinf(rate_progeny_marginal(childless, 3.5).value)
+        # with mass at zero, P(Ybar = 0) = q_0^n
+        empty = build_model(BERN, pmf_from_dict({0: 0.5, 1: 0.5}))
+        assert rate_progeny_marginal(empty, 0.0).value == approx(math.log(2.0),
+                                                                 rel=1e-15)
+
+    def test_no_golden_section(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("golden_min called")
+
+        monkeypatch.setattr(ratefn, "golden_min", refuse)
+        model = build_model(BERN, pmf_from_dict(G13))
+        assert rate_estimator_meaninit(model, 0.3).value > 0.0
+        assert rate_progeny_marginal(model, 6.0).value > 0.0
+
+    @pytest.mark.parametrize("family,param,K", F_LAWS)
+    @pytest.mark.parametrize("g", [
+        pmf_from_dict({1: 0.5, 2: 0.5}), pmf_from_dict(G13),
+        pmf_from_family("geometric", {"a": 0.3}, truncation_K=40),
+    ], ids=["g12", "g13", "geometric"])
+    def test_marginal_matches_compound_conjugate(self, family, param, K, g):
+        # the direct route conjugates log g(G(e^beta)) and never touches I_f
+        model = build_model(family_law(family, param, K), g)
+        compound = ratefn.cgf_progeny_compound(model)
+        for y in np.linspace(1.05 * model.nu, 3.0 * model.nu, 8):
+            y = float(y)
+            closed = rate_progeny_marginal(model, y).value
+            assert legendre(compound, y).value == approx(closed, rel=1e-9), y
