@@ -22,13 +22,15 @@ DEFICIT_LIMIT = 1e-9    # family builders must represent all but this much mass
 FAMILIES = ("bernoulli", "geometric", "poisson", "explicit")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pmf:
     """An integer-supported probability mass function.
 
     ``support`` is strictly increasing, ``probs`` aligns with it, and
     ``sum(probs) + truncation_deficit == 1`` up to ``MASS_TOL``.  Instances
-    are immutable and safe to share across threads.
+    are immutable and safe to share across threads.  The fields are slots:
+    no attribute can be added after construction, which would de-specialize
+    CPython's attribute loads on every hot path that reads a law.
     """
 
     support: np.ndarray

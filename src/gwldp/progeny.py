@@ -21,7 +21,6 @@ from .offspring import Pmf
 
 FIXED_POINT_TOL = 1e-14
 FIXED_POINT_MAX_ITER = 10 ** 6
-NEWTON_RESIDUAL = 1e-12
 NEWTON_MAX_ITER = 200
 
 
@@ -124,55 +123,45 @@ def total_progeny_pmf_dwass(f: Pmf, k_max: int) -> Pmf:
     return Pmf(np.arange(1, k_max + 1), pi[1:], truncation_deficit=deficit)
 
 
-def total_progeny_pgf(f: Pmf, s: float,
-                      tol: float = FIXED_POINT_TOL,
-                      newton_residual: float = NEWTON_RESIDUAL) -> float:
+def total_progeny_pgf(f: Pmf, s: float) -> float:
     """Unit-start total-progeny generating function G(s), G = s * f(G).
 
-    G(1) = P(Y < inf) = 1 exactly for every law admitted here.  On [0, 1) the
-    monotone iteration G <- s*f(G) from 0 converges to the minimal root.  For
-    s > 1 the series is continued analytically as the smallest root > 0 of
-    s*f(u) = u, found by damped Newton from u = 1; when no such root exists
-    (s beyond the convergence domain) the infinite marker is returned.
+    G(1) = P(Y < inf) = 1 exactly for every law admitted here.  Elsewhere G(s)
+    is the smallest root u > 0 of the convex h(u) = s*f(u) - u, which is the
+    power series on [0, 1) and its analytic continuation above 1.  Newton's
+    method starts where h > 0 (u = 0 below 1, u = 1 above) and climbs
+    monotonically to that root, converging quadratically at a simple root;
+    it stops at rounding, when h is no longer positive or a step no longer
+    moves u.  A nonnegative slope on the way certifies that no root exists
+    (s beyond the convergence domain) and returns the infinite marker.
+    Raises ConvergenceError when neither happens within NEWTON_MAX_ITER steps.
     """
     _require_proper(f)
     if s < 0.0:
         raise HypothesisError(f"pgf argument must be nonnegative, got {s}")
     if s == 1.0:
         return 1.0
-    if s < 1.0:
-        g = 0.0
-        for _ in range(FIXED_POINT_MAX_ITER):
-            g_next = s * off.pgf_exact(f, g)
-            if abs(g_next - g) < tol:
-                return g_next
-            g = g_next
-        raise ConvergenceError(
-            f"total-progeny fixed point did not converge at s={s!r}"
-        )
-    # analytic continuation: h(u) = s*f(u) - u is convex with h(1) = s-1 > 0;
-    # Newton from u=1 walks monotonically up to the smallest root when the
-    # slope there is negative, and the slope turning nonnegative certifies
-    # that no root exists to the right.
-    u = 1.0
+    # the tangent of a convex h lies below it, so from a point with h > 0 a
+    # Newton step lands at or before the smallest root
+    u = 0.0 if s < 1.0 else 1.0
     for _ in range(NEWTON_MAX_ITER):
         fu = off.pgf_exact(f, u)
         if math.isinf(fu):
             return math.inf
         h = s * fu - u
-        if abs(h) < newton_residual:
+        if h <= 0.0:
             return u
         hp = s * off.pgf_derivative_exact(f, u) - 1.0
         if hp >= 0.0:
             return math.inf
-        step = -h / hp
-        u_next = u + step
-        # float overshoot past the root flips the sign of h; damp back
-        while s * off.pgf_exact(f, u_next) - u_next < -newton_residual and step > 1e-300:
-            step *= 0.5
-            u_next = u + step
+        u_next = u - h / hp
+        if u_next <= u:
+            return u
         u = u_next
-    return math.inf
+    raise ConvergenceError(
+        f"total-progeny pgf Newton iteration did not converge at s={s!r} "
+        f"within {NEWTON_MAX_ITER} steps"
+    )
 
 
 def compound_pgf(model: ProgenyModel, s: float) -> float:

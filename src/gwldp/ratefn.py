@@ -10,7 +10,9 @@ for most rates:
   mean-initial and random-start rates, solved by its Fenchel dual (one
   conjugate of y*Lambda_f + Lambda_g);
 * direct numerical conjugates of the relevant cgf, which serve as independent
-  oracles for the closed forms.
+  oracles for the closed forms; the joint-rate oracle and the ratio-estimator
+  contraction add a one-dimensional minimization, by Brent's method
+  (``golden_min``: golden section with safeguarded parabolic steps).
 
 The conjugate solver is derivative-free: the dual root of Lambda'(theta) = x
 is bracketed by exponential expansion and bisected, with Lambda' estimated by
@@ -38,9 +40,10 @@ from .progeny import ProgenyModel
 THETA_CAP = 700.0       # |theta| beyond which exp(theta) is numerically unusable
 THETA_TOL = 1e-11       # bisection tolerance on the dual variable
 REFINE_TOL = 1e-8       # successive-estimate tolerance for edge suprema
-GOLDEN_TOL = 1e-9       # interval tolerance for 1-D golden-section searches
+GOLDEN_TOL = 1e-9       # interval tolerance for 1-D minimizations (golden_min)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction, 1 - 1/phi
+_SQRT_EPS = math.sqrt(2.0 ** -52)
 _LOG2 = math.log(2.0)
 
 
@@ -88,9 +91,7 @@ def _log_pgf(pmf: Pmf) -> Callable[[float], float]:
     Stable for very negative and large log_s.  The family dispatch, the
     parameters and an explicit law's positive-mass arrays are bound here,
     once, so that each call does only the arithmetic.  The caller holds the
-    closure; it is never stored on the Pmf, because an extra instance
-    attribute de-specializes CPython's attribute loads on that object and
-    slows every other reader of the law (the direct progeny route among them).
+    closure: a Pmf has slots, so nothing can be stored on the law.
     """
     fam = pmf.family
     if fam == "bernoulli":
@@ -411,28 +412,68 @@ def _nonneg(value: float) -> float:
 
 def golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL,
                max_iter: int = 300) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
+    """Minimum of a unimodal function on [lo, hi] by Brent's method.
+
+    Golden-section steps, replaced by a parabola through the three best points
+    when its vertex falls inside the bracket and the step shrinks fast enough
+    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5).
+    A parabola is fitted only through finite values, so an objective that is
+    +inf on part of the bracket is searched by golden section there.  Stops
+    when the best point lies within tol/2 + 2*sqrt(eps)*|x| of both ends of
+    the bracket (floating point cannot place a smooth minimum more finely
+    than the relative term) and returns that point with its value.
+    """
     a, b = float(lo), float(hi)
     if b - a <= tol:
         mid = 0.5 * (a + b)
         return mid, fn(mid)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
+    x = w = v = a + _CGOLD * (b - a)     # best, second best, previous w
+    fx = fw = fv = fn(x)
+    d = e = 0.0                          # last step and the one before it
     for _ in range(max_iter):
-        if b - a <= tol:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 4.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
+        parabolic = False
+        if abs(e) > tol1 and math.isfinite(fx) and math.isfinite(fw) \
+                and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept the vertex when it lies inside (a, b) and the step is
+            # under half the step before last, else fall back to golden
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+        if not parabolic:
+            e = (b - x) if x < m else (a - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +563,11 @@ def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
 
     The joint cgf is log g(e^gamma * G(e^beta)); the inner supremum over gamma
     is solved by the generic conjugate machinery on the scaled law, the outer
-    concave problem over beta by golden section on an adaptive bracket.  This
-    route never composes I_f and I_g, so it cross-checks the closed form.
+    concave problem over beta by Brent's method (golden_min) on a bracket
+    whose left end doubles while the maximum sits on it.  Past the progeny
+    domain's edge the outer objective is -inf, so golden_min takes golden
+    steps there.  This route never composes I_f and I_g, so it cross-checks the
+    closed form.
     """
     _require_bivariate_hypotheses(model)
     f, g = model.f, model.g

@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
-from gwldp import (HypothesisError, build_model, compound_pgf,
-                   extinction_probability, pmf_from_dict, pmf_from_family,
-                   progeny_mean, total_progeny_pgf, total_progeny_pmf_dwass)
+from gwldp import (ConvergenceError, HypothesisError, build_model,
+                   compound_pgf, extinction_probability, pmf_from_dict,
+                   pmf_from_family, progeny_mean, rate_progeny_direct,
+                   total_progeny_pgf, total_progeny_pmf_dwass)
+from gwldp import offspring, progeny
 
 BERN = pmf_from_dict({0: 0.5, 1: 0.5})
 
@@ -205,6 +207,91 @@ class TestFixedPointPgf:
             disc = 1.0 - 0.75 * s * s
             assert g == approx((1.0 - math.sqrt(disc)) / (0.5 * s), abs=1e-10)
         assert math.isinf(total_progeny_pgf(pmf, 1.16))
+
+
+def exact_pgf(family, param, s):
+    """G(s) at 50 digits from the family's closed form, on both sides of 1."""
+    with mpmath.workdps(50):
+        x, s = mpmath.mpf(param), mpmath.mpf(s)
+        if family == "bernoulli":
+            return s * (1 - x) / (1 - x * s)
+        if family == "geometric":
+            return (1 - mpmath.sqrt(1 - 4 * x * (1 - x) * s)) / (2 * x)
+        # Poisson: G = s exp(lam (G - 1)) is solved by the principal branch
+        return mpmath.re(-mpmath.lambertw(-x * s * mpmath.exp(-x)) / x)
+
+
+def progeny_domain_edge(family, param):
+    """s*, the largest s with G(s) finite: 1/p, 1/(4a(1-a)), 1/(lam e^{1-lam})."""
+    if family == "bernoulli":
+        return 1.0 / param
+    if family == "geometric":
+        return 1.0 / (4.0 * param * (1.0 - param))
+    return 1.0 / (param * math.exp(1.0 - param))
+
+
+FAMILY_PARAM = {"bernoulli": "p", "geometric": "a", "poisson": "lambda"}
+
+
+class TestNewtonPgf:
+    """G(s) as the smallest root of s*f(u) = u, by Newton from where h > 0."""
+
+    @pytest.mark.parametrize("family,param", [
+        ("bernoulli", 0.5), ("bernoulli", 0.9), ("geometric", 0.3),
+        ("geometric", 0.45), ("poisson", 0.6), ("poisson", 0.99),
+        ("poisson", 0.999),
+    ])
+    def test_closed_forms_at_high_precision(self, family, param):
+        # near criticality a linearly convergent iteration stopped at
+        # |dG| < 1e-14 misses by about 1e-14/(1 - mu_f); the root is found to
+        # rounding, except within a hair of the tangency at the domain edge
+        f = pmf_from_family(family, {FAMILY_PARAM[family]: param},
+                            truncation_K=None if family == "bernoulli" else 400)
+        edge = progeny_domain_edge(family, param)
+        below = [0.0, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6]
+        above = [1.0 + (edge - 1.0) * t for t in (1e-3, 0.1, 0.5, 0.9)]
+        for s in below + above:
+            exact = exact_pgf(family, param, s)
+            got = total_progeny_pgf(f, s)
+            assert abs(got - exact) <= 1e-12 * exact, s
+
+    def test_few_pgf_evaluations(self, monkeypatch):
+        # Newton converges quadratically from u = 0, so even at mean 0.999
+        # each G takes at most a dozen steps of two calls (Poisson's f' is
+        # lam*f); the iteration G <- s*f(G) needs thousands as s nears 1
+        calls = []
+        pgf_exact = offspring.pgf_exact
+        monkeypatch.setattr(offspring, "pgf_exact",
+                            lambda pmf, u: calls.append(u) or pgf_exact(pmf, u))
+        pmf = pmf_from_family("poisson", {"lambda": 0.999}, truncation_K=80)
+        for s in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0000004):
+            calls.clear()
+            total_progeny_pgf(pmf, s)
+            assert len(calls) <= 24, s
+
+    def test_exhausted_newton_raises(self, monkeypatch):
+        # a solver that cannot certify its answer raises; it never returns
+        # the infinite marker in silence
+        monkeypatch.setattr(progeny, "NEWTON_MAX_ITER", 1)
+        pmf = pmf_from_family("poisson", {"lambda": 0.6}, truncation_K=40)
+        with pytest.raises(ConvergenceError):
+            total_progeny_pgf(pmf, 0.5)
+        with pytest.raises(ConvergenceError):
+            total_progeny_pgf(pmf, 1.2)
+
+    @pytest.mark.parametrize("lam,y,bound", [(0.99, 101.0, 1e-6),
+                                             (0.999, 1010.0, 1e-5)])
+    def test_near_critical_direct_rate(self, lam, y, bound):
+        # exact Borel rate y*I_f((y-1)/y) with I_f(x) = x log(x/lam) - x + lam;
+        # a G stopped at |dG| < 1e-14 left the direct route 2.4e-5 and 2.8e-5
+        # off here
+        f = pmf_from_family("poisson", {"lambda": lam}, truncation_K=80)
+        x = (y - 1.0) / y
+        with mpmath.workdps(50):
+            X, L = mpmath.mpf(x), mpmath.mpf(lam)
+            exact = float(y * (X * mpmath.log(X / L) - X + L))
+        got = rate_progeny_direct(f, y).value
+        assert abs(got - exact) <= bound * exact
 
 
 class TestCompound:

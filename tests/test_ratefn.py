@@ -18,17 +18,20 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import gwldp as gw
 from gwldp import ratefn
-from gwldp import (HypothesisError, RateValue, build_model, cgf_of_pmf,
-                   cgf_progeny_unit, compare_rates, legendre, pmf_from_dict,
-                   pmf_from_family, rate_bivariate, rate_bivariate_oracle,
-                   rate_estimator_deterministic, rate_estimator_meaninit,
-                   rate_estimator_ratio, rate_initial, rate_offspring,
-                   rate_progeny_closed, rate_progeny_direct,
-                   rate_progeny_marginal, ratio_rate_via_contraction)
+from gwldp import (ConvergenceError, HypothesisError, RateValue, build_model,
+                   cgf_of_pmf, cgf_progeny_unit, compare_rates, legendre,
+                   pmf_from_dict, pmf_from_family, rate_bivariate,
+                   rate_bivariate_oracle, rate_estimator_deterministic,
+                   rate_estimator_meaninit, rate_estimator_ratio,
+                   rate_initial, rate_offspring, rate_progeny_closed,
+                   rate_progeny_direct, rate_progeny_marginal,
+                   ratio_rate_via_contraction)
 
 BERN = pmf_from_dict({0: 0.5, 1: 0.5})
 G_HALF = pmf_from_dict({1: 0.5, 2: 0.5})
@@ -271,14 +274,18 @@ class TestBoundLogPgf:
             assert cgf_of_pmf(G_HALF).fn(-math.inf) == -math.inf
 
     def test_laws_keep_their_attributes(self):
-        # evaluators are bound per cgf, never stored on the shared law
+        # evaluators are bound per cgf, never stored on the shared law: a law
+        # has slots and no instance dict, so nothing can be added to it
         f, g = pmf_from_dict({0: 0.5, 1: 0.5}), pmf_from_dict({1: 0.5, 2: 0.5})
         model = build_model(f, g)
-        before = (sorted(vars(f)), sorted(vars(g)))
         rate_offspring(f, 0.25)
         rate_bivariate_oracle(model, 3.0, 1.5)
         rate_estimator_meaninit(model, 0.25)
-        assert (sorted(vars(f)), sorted(vars(g))) == before
+        for law in (f, g, pmf_from_family("poisson", {"lambda": 0.6},
+                                          truncation_K=40)):
+            assert not hasattr(law, "__dict__")
+            with pytest.raises(AttributeError):
+                object.__setattr__(law, "x", 1)
 
 
 class TestProgenyRates:
@@ -641,6 +648,35 @@ def exact_contraction(f_law, g_law, y):
         return theta * y - y * lam_f(theta) - lam_g(theta), dlam_g(theta)
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_min(fn, lo, hi, tol=ratefn.GOLDEN_TOL, max_iter=300):
+    """Plain golden-section search, as ratefn.golden_min was before Brent's
+    method: the reference that the library's minimizer is checked against."""
+    a, b = float(lo), float(hi)
+    if b - a <= tol:
+        mid = 0.5 * (a + b)
+        return mid, fn(mid)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    if fc <= fd:
+        return c, fc
+    return d, fd
+
+
 def golden_primal(model, y):
     """The contraction by golden section over z, as the library solved it
     before the dual: every step runs two Legendre solves."""
@@ -653,7 +689,7 @@ def golden_primal(model, y):
         return (y * rate_offspring(model.f, (y - z) / y).value
                 + rate_initial(model.g, z).value)
 
-    z_star, v_star = ratefn.golden_min(objective, r_min, z_hi)
+    z_star, v_star = golden_section_min(objective, r_min, z_hi)
     for z_end in (r_min, z_hi):
         if objective(z_end) < v_star:
             z_star, v_star = z_end, objective(z_end)
@@ -811,3 +847,140 @@ class TestContractionDual:
             y = float(y)
             closed = rate_progeny_marginal(model, y).value
             assert legendre(compound, y).value == approx(closed, rel=1e-9), y
+
+
+def counted(fn):
+    """fn with a call counter, read as counted_fn.calls."""
+    def wrapper(x):
+        wrapper.calls += 1
+        return fn(x)
+    wrapper.calls = 0
+    return wrapper
+
+
+def rate_grid_pool(lo, hi):
+    """The rate-grid benchmark's candidate points for one law: 2 strata of 8."""
+    width = (hi - lo) / 2
+    return [lo + (i + (j + 0.5) / 8) * width for i in range(2) for j in range(8)]
+
+
+class TestGoldenMin:
+    """golden_min is Brent's method: golden steps plus parabolic steps."""
+
+    @pytest.mark.parametrize("fn,argmin", [
+        (lambda b: (b - 0.3) ** 2, 0.3),
+        (lambda b: math.cosh(b + 2.0), -2.0),
+        (lambda b: math.exp(b) - 2.0 * b, math.log(2.0)),
+        (lambda b: (b + 7.5) ** 2 + 0.1 * (b + 7.5) ** 4, -7.5),
+        (lambda b: abs(b + 1.0) ** 1.5 + 0.25 * b, -1.0 - 1.0 / 36.0),
+    ], ids=["quadratic", "cosh", "exp-linear", "quartic", "root-cusp"])
+    def test_evaluation_count(self, fn, argmin):
+        # golden section alone takes 54 evaluations to shrink [-48, 1] to
+        # GOLDEN_TOL; the parabolic steps take well under half of that
+        f, ref = counted(fn), counted(fn)
+        b, v = ratefn.golden_min(f, -48.0, 1.0)
+        _, v_ref = golden_section_min(ref, -48.0, 1.0)
+        assert ref.calls == 54
+        assert f.calls <= 25
+        assert abs(b - argmin) <= 1e-7
+        assert v == fn(b) and v <= v_ref + 1e-15
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_infinite_at_one_end(self, side):
+        # the bivariate oracle's objective is +inf past the progeny domain
+        def fn(b):
+            if (b > 0.5) if side == "right" else (b < -40.0):
+                return math.inf
+            return (b - 0.45) ** 2
+        f = counted(fn)
+        b, v = ratefn.golden_min(f, -48.0, 1.0)
+        assert abs(b - 0.45) <= 1e-7 and v <= 1e-14
+        assert f.calls <= 30
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["left", "right"])
+    def test_minimum_at_an_end(self, slope):
+        b, v = ratefn.golden_min(lambda t: slope * t, -48.0, 1.0)
+        end = -48.0 if slope > 0 else 1.0
+        assert abs(b - end) <= 1e-6
+        assert v == slope * b
+
+    def test_degenerate_bracket(self):
+        assert ratefn.golden_min(lambda t: t * t, 2.0, 2.0) == (2.0, 4.0)
+
+    @pytest.mark.parametrize("family,param,K", F_LAWS)
+    @pytest.mark.parametrize("oracle", ["bivariate", "ratio"])
+    def test_oracles_match_golden_section(self, family, param, K, oracle,
+                                          monkeypatch):
+        # both oracles on the rate-grid benchmark's pools, against the same
+        # oracle run with plain golden section; the objectives carry about
+        # 1e-16 of solver noise, hence the absolute floor
+        model = build_model(family_law(family, param, K), G_HALF)
+        if oracle == "bivariate":
+            points = [(y, 1.1 + 0.8 * (i % 8 + 0.5) / 8)
+                      for i, y in enumerate(rate_grid_pool(2.0, 5.0))]
+
+            def call(p):
+                return rate_bivariate_oracle(model, *p).value
+        else:
+            points = rate_grid_pool(0.0, 0.9)
+
+            def call(p):
+                return ratio_rate_via_contraction(model, p).value
+        brent = [call(p) for p in points]
+        monkeypatch.setattr(ratefn, "golden_min", golden_section_min)
+        for p, got in zip(points, brent):
+            assert got == approx(call(p), rel=1e-12, abs=1e-15), p
+
+
+@st.composite
+def oracle_cases(draw):
+    """An explicit f with p_0 in [1e-3, 0.9] and mean up to 0.999, g on 1..4
+    with two or three points, and an interior point: z strictly inside g's
+    support, x = (y - z)/y in (0, 1).
+
+    f puts p_0 at zero, a drawn shape on 2..12 and the rest on 1, which fixes
+    its mean; a tiny p_0 forces the mean to at least 1 - p_0, so the two
+    regions meet at the near-critical corner.
+    """
+    p0 = draw(st.floats(1e-3, 0.9))
+    points = draw(st.lists(st.integers(2, 12), min_size=1, max_size=5,
+                           unique=True))
+    weights = draw(st.lists(st.integers(1, 100), min_size=len(points),
+                            max_size=len(points)))
+    shape = [w / sum(weights) for w in weights]
+    m_shape = sum(h * w for h, w in zip(points, shape))
+    lo, hi = 1.0 - p0, min(0.999, (1.0 - p0) * m_shape)
+    mu = lo + draw(st.floats(0.0, 1.0)) * max(hi - lo, 0.0)
+    t = (mu / (1.0 - p0) - 1.0) / (m_shape - 1.0)
+    f = {h: (1.0 - p0) * t * w for h, w in zip(points, shape)}
+    f[1] = (1.0 - p0) * (1.0 - t)
+    f[0] = p0
+    g_points = sorted(draw(st.lists(st.integers(1, 4), min_size=2, max_size=3,
+                                    unique=True)))
+    g_weights = draw(st.lists(st.integers(1, 10), min_size=len(g_points),
+                              max_size=len(g_points)))
+    g = {h: w / sum(g_weights) for h, w in zip(g_points, g_weights)}
+    z = g_points[0] + (g_points[-1] - g_points[0]) * draw(st.floats(0.05, 0.95))
+    x = draw(st.floats(0.01, 0.95))
+    total = sum(f.values())
+    return ({h: p / total for h, p in f.items() if p > 0.0}, g, z, x)
+
+
+class TestOracleFuzz:
+    """Each golden_min oracle against its closed form, near criticality and
+    at tiny p_0: agreement within 1e-9 relative or a ConvergenceError."""
+
+    @settings(max_examples=25)
+    @given(case=oracle_cases())
+    def test_oracles_match_closed_forms(self, case):
+        f, g, z, x = case
+        model = build_model(pmf_from_dict(f), pmf_from_dict(g))
+        y = z / (1.0 - x)
+        try:
+            oracle = rate_bivariate_oracle(model, y, z).value
+            contraction = ratio_rate_via_contraction(model, x).value
+        except ConvergenceError:
+            return
+        assert oracle == approx(rate_bivariate(model, y, z).value, rel=1e-9)
+        assert contraction == approx(rate_estimator_ratio(model, x).value,
+                                     rel=1e-9)
