@@ -14,13 +14,14 @@ for most rates:
   contraction add a one-dimensional minimization, by Brent's method
   (``golden_min``: golden section with safeguarded parabolic steps).
 
-The conjugate solver is derivative-free: the dual root of Lambda'(theta) = x
-is bracketed by exponential expansion and bisected, with Lambda' estimated by
-central differences.  It finds domain edges through infinite evaluations (the
-progeny cgf's edge is also exact, from the tangency u f'(u) = f(u)), refines
-suprema attained at an edge on a geometric grid, and reports brackets beyond
+The conjugate solver brackets the root of Lambda'(theta) = x by exponential
+expansion and bisects the exact derivative: e^theta f'(e^theta)/f(e^theta)
+for a law, 1/(1 - s f'(G(s))) at s = e^beta for the total progeny (from
+G = s*f(G)).  It finds domain edges through infinite evaluations (the progeny
+cgf's edge is also exact, from the tangency u f'(u) = f(u)), takes a supremum
+still rising at an edge at the last finite point, and reports brackets beyond
 |theta| = 700, where exp overflows, as capped values with a saturation marker.
-A law's log-pgf is bound once per cgf evaluator, so a cgf call is arithmetic.
+A law's log-pgf and its derivative are bound once per cgf evaluator.
 """
 
 from __future__ import annotations
@@ -39,24 +40,31 @@ from .progeny import ProgenyModel
 
 THETA_CAP = 700.0       # |theta| beyond which exp(theta) is numerically unusable
 THETA_TOL = 1e-11       # bisection tolerance on the dual variable
-REFINE_TOL = 1e-8       # successive-estimate tolerance for edge suprema
 GOLDEN_TOL = 1e-9       # interval tolerance for 1-D minimizations (golden_min)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction, 1 - 1/phi
 _SQRT_EPS = math.sqrt(2.0 ** -52)
 _LOG2 = math.log(2.0)
+# 3- and 4-point Gauss-Legendre (node, weight) pairs on [0, 1]
+_GAUSS = [[(0.1127016653792583, 5 / 18), (0.5, 4 / 9), (0.8872983346207417, 5 / 18)],
+          [(0.06943184420297371, 0.17392742256872679),
+           (0.33000947820757187, 0.3260725774312732),
+           (0.6699905217924281, 0.3260725774312732),
+           (0.9305681557970262, 0.17392742256872679)]]
 
 
 @dataclass(frozen=True, eq=False)
 class CgfEvaluator:
     """A cumulant generating function Lambda(theta) = log E[exp(theta*W)].
 
+    ``dfn`` is its exact derivative, the mean of W tilted by exp(theta*W).
     Carries the support metadata the conjugate solver needs for the exact
     boundary values: the rate at the minimum (maximum) support point of W is
     -log P(W = min) (resp. max), attained as theta -> -inf (+inf).
     """
 
     fn: Callable[[float], float]
+    dfn: Callable[[float], float]
     mean: float
     theta_max: float
     support_min: float
@@ -65,7 +73,7 @@ class CgfEvaluator:
     log_mass_max: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateValue:
     """A rate-function evaluation.
 
@@ -157,6 +165,51 @@ def _log_pgf(pmf: Pmf) -> Callable[[float], float]:
     return explicit
 
 
+def _dlog_pgf(pmf: Pmf) -> Callable[[float], float]:
+    """Lambda'(theta) = e^theta f'(e^theta)/f(e^theta), the mean of pmf tilted
+    by exp(theta*h), bound once like _log_pgf; the limits at +-inf included."""
+    fam = pmf.family
+    if fam == "bernoulli":
+        p = pmf.params["p"]
+        if p == 0.0 or p == 1.0:
+            return lambda theta: p
+        q = 1.0 - p
+
+        def bernoulli(theta: float) -> float:
+            if theta <= 0.0:      # p e^theta / (q + p e^theta), exponent <= 0
+                w = p * math.exp(theta)
+                return w / (q + w)
+            return p / (p + q * math.exp(-theta))
+        return bernoulli
+    if fam == "geometric":
+        a = pmf.params["a"]
+        edge = -math.log(a)
+
+        def geometric(theta: float) -> float:
+            w = a * math.exp(theta) if theta < edge else 1.0
+            return w / (1.0 - w) if w < 1.0 else math.inf
+        return geometric
+    if fam == "poisson":
+        lam = pmf.params["lambda"]
+        return lambda theta: math.inf if theta > 708.0 else lam * math.exp(theta)
+
+    pos = pmf.probs > 0.0
+    sup = pmf.support[pos].astype(np.float64)
+    probs = pmf.probs[pos]
+    low, high = sup - sup[0], sup - sup[-1]
+    sup_min, sup_max = float(sup[0]), float(sup[-1])
+
+    def explicit(theta: float) -> float:
+        # anchor the exponents at the end the tilt favours, so none can
+        # overflow, and return the mean as an offset from that end
+        if math.isinf(theta):
+            return sup_min if theta < 0.0 else sup_max
+        anchor, gap = (sup_min, low) if theta <= 0.0 else (sup_max, high)
+        w = probs * np.exp(theta * gap)
+        return anchor + float(np.dot(gap, w) / w.sum())
+    return explicit
+
+
 def cgf_of_pmf(pmf: Pmf) -> CgfEvaluator:
     """Cgf of an integer law W ~ pmf: Lambda(theta) = log f(exp(theta)).
 
@@ -173,6 +226,7 @@ def cgf_of_pmf(pmf: Pmf) -> CgfEvaluator:
         log_mass_max = _safe_log(float(pmf.probs[pos][-1]))
     return CgfEvaluator(
         fn=_log_pgf(pmf),
+        dfn=_dlog_pgf(pmf),
         mean=off.mean_exact(pmf),
         theta_max=dom.theta_max,
         support_min=s_min,
@@ -180,19 +234,6 @@ def cgf_of_pmf(pmf: Pmf) -> CgfEvaluator:
         log_mass_min=_safe_log(float(pmf.probs[pos][0])),
         log_mass_max=log_mass_max,
     )
-
-
-def _tilted_mean(pmf: Pmf, theta: float) -> float:
-    """Lambda'(theta): the mean of pmf tilted by exp(theta*h)."""
-    if pmf.family == "geometric":
-        return 1.0 / (math.exp(-theta) / pmf.params["a"] - 1.0)
-    if pmf.family == "poisson":
-        return pmf.params["lambda"] * math.exp(theta)
-    pos = pmf.probs > 0.0
-    sup = pmf.support[pos].astype(np.float64)
-    # anchor the exponents at the end the tilt favours: none can overflow
-    w = pmf.probs[pos] * np.exp(theta * (sup - (sup[-1] if theta > 0.0 else sup[0])))
-    return float(np.dot(sup, w) / w.sum())
 
 
 def _progeny_edge(f: Pmf, u_cap: float = math.inf) -> float:
@@ -224,11 +265,20 @@ def _progeny_edge(f: Pmf, u_cap: float = math.inf) -> float:
     return math.log(u / off.pgf_exact(f, u))
 
 
+def _progeny_slope(f: Pmf, beta: float) -> tuple[float, float]:
+    """G(s) and d log G/d log s at s = exp(beta), from G = s*f(G): the slope
+    is 1/(1 - s f'(G)), infinite where G is and at the edge's tangency."""
+    s = math.exp(min(beta, 708.0))
+    v = prog.total_progeny_pgf(f, s)
+    slack = 1.0 - s * off.pgf_derivative_exact(f, v) if math.isfinite(v) else 0.0
+    return v, 1.0 / slack if slack > 0.0 else math.inf
+
+
 def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
     """Cgf of the unit-start total progeny: Lambda(beta) = log G(exp(beta)).
 
-    P(Y = 1) equals the offspring mass at zero, which pins the exact boundary
-    value of the conjugate at y = 1.
+    Lambda' uses f, f' and G, never I_f.  P(Y = 1) = p_0 pins the exact
+    boundary value of the conjugate at y = 1.
     """
     _require_subcritical(f)
 
@@ -239,6 +289,7 @@ def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
     childless = f.max_support == 0   # no offspring ever: Y = 1 surely
     return CgfEvaluator(
         fn=fn,
+        dfn=lambda beta: _progeny_slope(f, beta)[1],
         mean=1.0 / (1.0 - off.mean_exact(f)),
         theta_max=_progeny_edge(f),
         support_min=1.0,
@@ -252,7 +303,7 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
     """Cgf of the total progeny with random start: log g(G(exp(beta)))."""
     _require_subcritical(model.f)
     f, cg = model.f, cgf_of_pmf(model.g)
-    log_g = cg.fn
+    log_g, dlog_g = cg.fn, cg.dfn
 
     def fn(beta: float) -> float:
         v = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
@@ -260,10 +311,16 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
             return math.inf
         return log_g(math.log(v))
 
+    def dfn(beta: float) -> float:
+        # the chain rule through log G: Lambda_g'(log G) * d log G/d log s
+        v, slope = _progeny_slope(f, beta)
+        return slope if math.isinf(slope) else dlog_g(_safe_log(v)) * slope
+
     childless = f.max_support == 0   # Y = Z; otherwise Y is unbounded
     # P(Y = r_min) = q_{r_min} * p_0^{r_min}: all initial individuals childless
     return CgfEvaluator(
         fn=fn,
+        dfn=dfn,
         mean=model.nu,
         theta_max=_progeny_edge(f, off.gen_fn_domain(model.g).radius),
         support_min=cg.support_min,
@@ -277,41 +334,15 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
 # conjugate solver
 # ---------------------------------------------------------------------------
 
-def _dlam(fn: Callable[[float], float], theta: float) -> float:
-    h = 1e-7 * max(1.0, abs(theta))
-    upper = fn(theta + h)
-    if math.isinf(upper):
-        return math.inf
-    lower = fn(theta - h)
-    return (upper - lower) / (2.0 * h)
-
-
-def _edge_supremum(fn, x: float, t: float, edge: float,
-                   refine_tol: float) -> tuple[float, str]:
-    # objective theta*x - Lambda(theta) still rising at the domain edge: chase
-    # the limit on a geometric grid with one-step extrapolation
-    prev = t * x - fn(t)
-    for _ in range(200):
-        t = t + 0.5 * (edge - t)
-        lam = fn(t)
-        if math.isinf(lam):
-            edge = t
-            continue
-        v = t * x - lam
-        if abs(v - prev) < refine_tol:
-            return v + (v - prev), "theta_max"
-        prev = v
-    return prev, "theta_max"
-
-
-def _conjugate_raw(fn, x: float, support_min: float, support_max: float,
+def _conjugate_raw(fn, dfn, x: float, support_min: float, support_max: float,
                    log_mass_min: float, log_mass_max: float | None,
-                   theta_tol: float = THETA_TOL,
-                   refine_tol: float = REFINE_TOL) -> tuple[float, float | str]:
+                   theta_tol: float = THETA_TOL) -> tuple[float, float | str]:
     """sup over theta of theta*x - fn(theta) for a convex cgf-like fn.
 
-    Returns the raw supremum (which may be negative for shifted cgfs) plus
-    the optimizing theta or a boundary marker.
+    The optimizing theta is the root of dfn(theta) = x, dfn being fn's exact
+    derivative, bracketed and then bisected to theta_tol.  Returns the raw
+    supremum (which may be negative for shifted cgfs) plus that theta or a
+    boundary marker.
     """
     if x < support_min:
         return math.inf, "below_support"
@@ -324,16 +355,15 @@ def _conjugate_raw(fn, x: float, support_min: float, support_max: float,
             assert log_mass_max is not None
             return -log_mass_max, "support_max"
 
-    # ---- upper bracket end: tilted mean must reach x
-    hi, edge = 1.0, None
+    # ---- upper bracket end: dfn must reach x; each end short of it is a lo
+    lo, hi, edge = -1.0, 1.0, None
     while not math.isfinite(fn(hi)):
         edge, hi = hi, 0.5 * hi
         if hi < 1e-300:
             raise HypothesisError("cgf is infinite on all of (0, 1e-300]")
-    while True:
-        d = _dlam(fn, hi)
-        if math.isinf(d) or d >= x:
-            break
+    d = dfn(hi)
+    while d < x:
+        lo = hi
         if edge is None:
             nxt = 2.0 * hi
             if nxt > THETA_CAP:
@@ -343,56 +373,33 @@ def _conjugate_raw(fn, x: float, support_min: float, support_max: float,
                     t = 0.5 * (hi + t)
                     lam = fn(t)
                 return t * x - lam, "theta_cap"
-            if math.isfinite(fn(nxt)):
-                hi = nxt
-            else:
-                edge = nxt
+        elif edge - hi <= 1e-13 * max(1.0, abs(edge)):
+            # the objective still rises at the domain edge
+            return hi * x - fn(hi), "theta_max"
         else:
-            if edge - hi <= 1e-13 * max(1.0, abs(edge)):
-                return _edge_supremum(fn, x, hi, edge, refine_tol)
             nxt = 0.5 * (hi + edge)
-            if math.isfinite(fn(nxt)):
-                hi = nxt
-            else:
-                edge = nxt
+        if math.isfinite(fn(nxt)):
+            hi, d = nxt, dfn(nxt)
+        else:
+            edge = nxt
 
-    # ---- lower bracket end
-    lo = -1.0
-    while _dlam(fn, lo) > x:
-        lo *= 2.0
-        if lo < -THETA_CAP:
-            lo = -THETA_CAP
-            return lo * x - fn(lo), "theta_cap"
-    if lo >= hi:
-        lo = hi - 1.0
+    # ---- lower bracket end, unless found above; each end past x is a hi
+    if lo < 0.0:
+        while dfn(lo) > x:
+            hi, lo = lo, 2.0 * lo
+            if lo < -THETA_CAP:
+                lo = -THETA_CAP
+                return lo * x - fn(lo), "theta_cap"
 
     # ---- bisection on the monotone derivative
     while hi - lo > theta_tol:
         mid = 0.5 * (lo + hi)
-        if _dlam(fn, mid) < x:
+        if dfn(mid) < x:
             lo = mid
         else:
             hi = mid
     theta = 0.5 * (lo + hi)
-    value = theta * x - fn(theta)
-    # central differences lose the derivative signal when x sits within a
-    # few ulps of a support boundary (the dual root runs off to ~|log ulp|);
-    # the objective is concave, so a direct value climb recovers the loss
-    step = max(1.0, 0.25 * abs(theta))
-    for _ in range(500):
-        if step <= 1e-11 or abs(theta) > THETA_CAP:
-            break
-        moved = False
-        for cand in (theta + step, theta - step):
-            lam = fn(cand)
-            if math.isfinite(lam):
-                v = cand * x - lam
-                if v > value:
-                    theta, value = cand, v
-                    moved = True
-                    break
-        step = step * 2.0 if moved else step * 0.5
-    return value, theta
+    return theta * x - fn(theta), theta
 
 
 def legendre(cgf: CgfEvaluator, x: float) -> RateValue:
@@ -400,9 +407,22 @@ def legendre(cgf: CgfEvaluator, x: float) -> RateValue:
 
     A genuine rate value: nonnegative, zero exactly at the mean of the law.
     """
-    value, argmax = _conjugate_raw(cgf.fn, x, cgf.support_min, cgf.support_max,
+    value, argmax = _conjugate_raw(cgf.fn, cgf.dfn, x, cgf.support_min, cgf.support_max,
                                    cgf.log_mass_min, cgf.log_mass_max)
-    return RateValue(_nonneg(value), argmax, route="direct")
+    return RateValue(_rate_value(cgf.dfn, x, value, argmax), argmax, route="direct")
+
+
+def _rate_value(dfn, x: float, value: float, theta: float | str) -> float:
+    """theta*x - Lambda(theta) at the optimum of a cgf with Lambda(0) = 0, or,
+    near the mean where those two terms cancel to rounding, the integral of
+    x - Lambda' over [0, theta] by 4-point Gauss-Legendre, when the 3-point
+    rule agrees with it to 1e-9 or to rounding."""
+    if isinstance(theta, float) and value < 1e-2 * abs(theta * x):
+        q3, q4 = (theta * sum(w * (x - dfn(theta * t)) for t, w in rule)
+                  for rule in _GAUSS)
+        if abs(q4 - q3) <= 1e-9 * abs(q4) + 1e-14 * abs(theta * x):
+            value = q4
+    return _nonneg(value)
 
 
 def _nonneg(value: float) -> float:
@@ -588,7 +608,8 @@ def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
             return -math.inf
         log_c = math.log(c)
         inner, _ = _conjugate_raw(
-            lambda gamma: log_g(gamma + log_c), z,
+            lambda gamma: log_g(gamma + log_c),
+            lambda gamma: cg.dfn(gamma + log_c), z,
             support_min=r_min, support_max=r_max,
             log_mass_min=cg.log_mass_min + r_min * log_c,
             log_mass_max=None if log_q_max is None else log_q_max + r_max * log_c,
@@ -652,12 +673,16 @@ def _min_bivariate_over_z(model: ProgenyModel, y: float, route: str) -> RateValu
     population.  The minimizing z is g's tilted mean at the optimal theta.
     """
     cf, cg = cgf_of_pmf(model.f), cgf_of_pmf(model.g)
-    log_f, log_g = cf.fn, cg.fn
+    log_f, log_g, dlog_f, dlog_g = cf.fn, cg.fn, cf.dfn, cg.dfn
     log_mass_max = (None if cf.log_mass_max is None or cg.log_mass_max is None
                     else y * cf.log_mass_max + cg.log_mass_max)
+
+    def dual_slope(t: float) -> float:
+        return y * dlog_f(t) + dlog_g(t)
+
     value, theta = _conjugate_raw(
-        lambda t: y * log_f(t) + log_g(t), y,
-        support_min=y * cf.support_min + cg.support_min,
+        lambda t: y * log_f(t) + log_g(t), dual_slope,
+        y, support_min=y * cf.support_min + cg.support_min,
         support_max=y * cf.support_max + cg.support_max,
         log_mass_min=y * cf.log_mass_min + cg.log_mass_min,
         log_mass_max=log_mass_max,
@@ -665,17 +690,11 @@ def _min_bivariate_over_z(model: ProgenyModel, y: float, route: str) -> RateValu
     if math.isinf(value):
         return RateValue(value, None, route=route)
     if isinstance(theta, float):
-        # the solver leaves theta ~1e-8 off the root of K'(theta) = y; one
-        # secant step on the exact tilted means lands it there
-        def slope(t: float) -> float:
-            return y * _tilted_mean(model.f, t) + _tilted_mean(model.g, t) - y
-        d0, d1 = slope(theta), slope(theta - 1e-6)
-        if abs(d0) < abs(d0 - d1):    # the step stays within 1e-6
-            theta -= d0 * 1e-6 / (d0 - d1)
-        z_star = _tilted_mean(model.g, theta)
+        z_star = dlog_g(theta)
     else:   # a boundary marker: the end of r_min <= z <= min(y, r_max) it points to
         z_star = cg.support_min if y < y * cf.mean + cg.mean else min(y, cg.support_max)
-    return RateValue(_nonneg(value), None, route=route, argmin_z=z_star)
+    return RateValue(_rate_value(dual_slope, y, value, theta), None, route=route,
+                     argmin_z=z_star)
 
 
 def rate_estimator_meaninit(model: ProgenyModel, x: float) -> RateValue:
@@ -740,7 +759,7 @@ def ratio_rate_via_contraction(model: ProgenyModel, x: float,
 # rate comparison table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateComparison:
     """One row of the random-start vs deterministic-start comparison."""
 

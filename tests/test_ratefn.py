@@ -12,13 +12,14 @@ and a dense-grid brute-force maximization of theta*x - Lambda(theta).  The
 same family rates, evaluated at 50 digits with mpmath, check relative error.
 """
 
+import dataclasses
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -636,16 +637,22 @@ def exact_contraction(f_law, g_law, y):
         y = mpmath.mpf(y)
         edges = [-mpmath.log(mpmath.mpf(law[1])) for law in (f_law, g_law)
                  if law[0] == "geometric"]
-        lo, hi = mpmath.mpf(-64), min(edges + [mpmath.mpf(64)])
-        for _ in range(30):     # a coarse bracket first
-            mid = (lo + hi) / 2
-            if y * dlam_f(mid) + dlam_g(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        theta = mpmath.findroot(lambda t: y * dlam_f(t) + dlam_g(t) - y,
-                                (lo, hi), solver="anderson")
+        theta = mp_root(lambda t: y * dlam_f(t) + dlam_g(t) - y,
+                        -64, min(edges + [mpmath.mpf(64)]))
         return theta * y - y * lam_f(theta) - lam_g(theta), dlam_g(theta)
+
+
+def mp_root(fn, lo, hi):
+    """The root of an increasing fn on (lo, hi) at the working precision: a
+    coarse bracket by 30 bisection steps, then the Anderson solver."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    for _ in range(30):
+        mid = (lo + hi) / 2
+        if fn(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return mpmath.findroot(fn, (lo, hi), solver="anderson")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -984,3 +991,240 @@ class TestOracleFuzz:
         assert oracle == approx(rate_bivariate(model, y, z).value, rel=1e-9)
         assert contraction == approx(rate_estimator_ratio(model, x).value,
                                      rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the exact derivative Lambda' and the solver that bisects it
+# ---------------------------------------------------------------------------
+
+EPS = 2.0 ** -52
+LAW_31 = pmf_from_dict({k: (k + 1) ** -2 / sum((j + 1) ** -2 for j in range(31))
+                        for k in range(31)})
+
+
+def exact_progeny_cgf(family, param, g_table=None):
+    """log G(e^beta), or log g(G(e^beta)) for an initial law g_table, from the
+    closed forms of G at the working precision (Bernoulli and geometric in
+    a form without cancellation at small s, Poisson through Lambert W)."""
+    a = mpmath.mpf(param)
+
+    def G(s):
+        if family == "bernoulli":
+            return s * (1 - a) / (1 - a * s)
+        if family == "geometric":
+            return 2 * (1 - a) * s / (1 + mpmath.sqrt(1 - 4 * a * (1 - a) * s))
+        return -mpmath.re(mpmath.lambertw(-a * s * mpmath.exp(-a))) / a
+
+    if g_table is None:
+        return lambda b: mpmath.log(G(mpmath.exp(b)))
+    pairs = [(mpmath.mpf(r), mpmath.mpf(q)) for r, q in g_table.items()]
+    return lambda b: mpmath.log(sum(q * G(mpmath.exp(b)) ** r for r, q in pairs))
+
+
+def law_cgf(law):
+    """exact_cgf's (Lambda, Lambda') for a library law."""
+    if law.family == "explicit":
+        return exact_cgf("explicit", law.as_dict())
+    return exact_cgf(law.family, next(iter(law.params.values())))
+
+
+GEO_03 = family_law("geometric", 0.3, 40)
+POI_06 = family_law("poisson", 0.6, 40)
+DERIVATIVE_LAWS = {
+    "bernoulli-0.3": family_law("bernoulli", 0.3, None),
+    "bernoulli-0.5": family_law("bernoulli", 0.5, None),
+    "geometric-0.3": GEO_03, "poisson-0.6": POI_06, "g-half": G_HALF,
+    "explicit-31": LAW_31,
+}
+# name -> (the library's cgf, the mpmath Lambda), both built on demand
+DERIVATIVE_CASES = {
+    **{name: (lambda law=law: cgf_of_pmf(law), lambda law=law: law_cgf(law)[0])
+       for name, law in DERIVATIVE_LAWS.items()},
+    "progeny-bernoulli": (lambda: cgf_progeny_unit(BERN),
+                          lambda: exact_progeny_cgf("bernoulli", 0.5)),
+    "progeny-geometric": (lambda: cgf_progeny_unit(GEO_03),
+                          lambda: exact_progeny_cgf("geometric", 0.3)),
+    "progeny-poisson": (lambda: cgf_progeny_unit(POI_06),
+                        lambda: exact_progeny_cgf("poisson", 0.6)),
+    "compound-geometric": (
+        lambda: ratefn.cgf_progeny_compound(build_model(GEO_03, G_HALF)),
+        lambda: exact_progeny_cgf("geometric", 0.3, {1: 0.5, 2: 0.5})),
+}
+
+
+def derivative_grid(theta_max):
+    """theta from -700 up to 700, or up to 1e-6 short of a finite theta_max."""
+    base = [-700.0, -120.0, -20.0, -3.0, -0.5, 0.0, 0.4]
+    if math.isinf(theta_max):
+        return base + [2.0, 15.0, 120.0, 700.0]
+    return ([t for t in base if t < theta_max - 0.1]
+            + [theta_max - d for d in (0.1, 1e-3, 1e-6)])
+
+
+class TestExactDerivative:
+    """Each cgf's dfn against mpmath.diff of its closed-form cgf at 30 digits.
+
+    Below theta = 0 the part of a law's Lambda that moves with theta is
+    e^theta smaller than the rest, so the working precision grows by
+    |theta|/log 10 digits to keep 30 in the derivative.  The bound is
+    rounding: 1e-14 relative plus the change that moving theta by 8 ulps
+    (of max(1, |theta|)) makes, |theta| eps Lambda'', which is what the
+    derivative's own conditioning allows near a domain edge.
+    """
+
+    @pytest.mark.parametrize("case", DERIVATIVE_CASES)
+    def test_against_mpmath_diff(self, case):
+        make_cgf, make_exact = DERIVATIVE_CASES[case]
+        cgf, lam = make_cgf(), make_exact()
+        for theta in derivative_grid(cgf.theta_max):
+            got = cgf.dfn(theta)
+            with mpmath.workdps(30 + int(max(0.0, -theta) / math.log(10.0))):
+                exact = mpmath.diff(lam, theta)
+                curvature = abs(mpmath.diff(lam, theta, 2))
+                bound = (1e-14 * abs(exact)
+                         + 8 * EPS * max(1.0, abs(theta)) * curvature)
+                assert abs(got - exact) <= bound, theta
+
+    @pytest.mark.parametrize("case", DERIVATIVE_CASES)
+    def test_extremes_do_not_overflow(self, case):
+        dfn = DERIVATIVE_CASES[case][0]().dfn
+        for theta in (-math.inf, -700.0, 700.0, math.inf):
+            d = dfn(theta)
+            assert d >= 0.0, theta          # also rules out nan
+
+    @pytest.mark.parametrize("law", [G_HALF, LAW_31,
+                                     pmf_from_dict({2: 0.3, 5: 0.7})])
+    def test_explicit_limits_are_support_ends(self, law):
+        dfn = cgf_of_pmf(law).dfn
+        assert dfn(-math.inf) == law.min_support
+        assert dfn(math.inf) == law.max_support
+
+
+class TestArgmaxTheta:
+    """The returned theta is the root of Lambda'(theta) = x to 1e-10, against
+    a 40-digit root (the bisection stops at THETA_TOL = 1e-11)."""
+
+    @pytest.mark.parametrize("law,xs", [
+        (DERIVATIVE_LAWS["bernoulli-0.3"], [0.05, 0.3001, 0.5, 0.97]),
+        (GEO_03, [0.01, 0.5, 3.0, 40.0]),
+        (POI_06, [0.01, 0.7, 3.0, 12.0]),
+        (pmf_from_dict({0: 0.6, 1: 0.2, 3: 0.15, 5: 0.05}), [0.1, 0.8, 2.5, 4.9]),
+    ], ids=["bernoulli", "geometric", "poisson", "explicit"])
+    def test_offspring_rate(self, law, xs):
+        dlam = law_cgf(law)[1]
+        hi = -math.log(law.params["a"]) if law.family == "geometric" else 40.0
+        for x in xs:
+            theta = rate_offspring(law, x).argmax_theta
+            with mpmath.workdps(40):
+                root = mp_root(lambda t: dlam(t) - x, -40, hi)
+            assert abs(theta - float(root)) <= 1e-10, x
+
+    def test_meaninit_dual(self, monkeypatch):
+        # the dual's theta does not reach the RateValue; read it at the solver
+        thetas = []
+        solve = ratefn._conjugate_raw
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            thetas.append(out[1])
+            return out
+
+        monkeypatch.setattr(ratefn, "_conjugate_raw", spy)
+        model = build_model(BERN, pmf_from_dict(G13))
+        y = model.mu_g / (1.0 - 0.3)
+        rate_estimator_meaninit(model, 0.3)
+        with mpmath.workdps(40):
+            _, dlam_f = exact_cgf("bernoulli", 0.5)
+            _, dlam_g = exact_cgf("explicit", G13)
+            root = mp_root(lambda t: y * dlam_f(t) + dlam_g(t) - y, -64, 64)
+        assert thetas == [approx(float(root), abs=1e-10)]
+
+
+class TestThetaMaxBranch:
+    """Lambda = theta^2/2 up to theta = 1 and +inf beyond: Lambda' stays
+    below any x > 1 on the whole domain, so the supremum x - 1/2 is attained
+    at the edge and carries the theta_max marker."""
+
+    CGF = ratefn.CgfEvaluator(
+        fn=lambda t: 0.5 * t * t if t <= 1.0 else math.inf,
+        dfn=lambda t: t if t <= 1.0 else math.inf,
+        mean=0.0, theta_max=1.0, support_min=-math.inf,
+        support_max=math.inf, log_mass_min=-math.inf)
+
+    @pytest.mark.parametrize("x", [1.0 + 1e-9, 1.5, 3.0, 40.0])
+    def test_edge(self, x):
+        rv = legendre(self.CGF, x)
+        assert rv.argmax_theta == "theta_max"
+        assert rv.value == approx(x - 0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [-2.0, 0.25, 0.9])
+    def test_interior(self, x):
+        rv = legendre(self.CGF, x)
+        assert rv.argmax_theta == approx(x, abs=1e-11)
+        assert rv.value == approx(0.5 * x * x, rel=1e-12)
+
+
+class TestEvaluationBudget:
+    """rate_progeny_direct costs at most 50 cgf evaluations per point on
+    average, Lambda and Lambda' counted alike (central differences and the
+    value climb took about 165)."""
+
+    def test_direct_progeny(self, monkeypatch):
+        calls = 0
+
+        def counting(fn):
+            def wrapper(beta):
+                nonlocal calls
+                calls += 1
+                return fn(beta)
+            return wrapper
+
+        unit = ratefn.cgf_progeny_unit
+
+        def counted_unit(f):
+            cgf = unit(f)
+            return dataclasses.replace(cgf, fn=counting(cgf.fn),
+                                       dfn=counting(cgf.dfn))
+
+        monkeypatch.setattr(ratefn, "cgf_progeny_unit", counted_unit)
+        points = [(family_law(*law), y) for law in F_LAWS for y in (1.5, 3.0, 6.0)]
+        for f, y in points:
+            assert rate_progeny_direct(f, y).value > 0.0
+        assert calls / len(points) <= 50
+
+
+FUZZ_PARAMS = {"bernoulli": (0.01, 0.99), "geometric": (0.05, 0.5),
+               "poisson": (0.05, 0.999)}
+
+
+@st.composite
+def offspring_points(draw):
+    """(family, parameter, x): x within 1e-6 to 0.1 of the law's mean on
+    either side, or, for a geometric law, Lambda'(-log a - delta) with delta
+    from 1e-15 to 1e-6, i.e. theta within 1e-6 of the domain edge."""
+    family = draw(st.sampled_from(sorted(FUZZ_PARAMS)))
+    param = draw(st.floats(*FUZZ_PARAMS[family]))
+    if family == "geometric" and draw(st.booleans()):
+        delta = 10.0 ** -draw(st.floats(6.0, 15.0))
+        return family, param, math.exp(-delta) / -math.expm1(-delta)
+    mu = param / (1.0 - param) if family == "geometric" else param
+    x = mu + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.floats(1.0, 6.0))
+    assume(x > 0.0 and (family != "bernoulli" or x < 1.0))
+    return family, param, x
+
+
+class TestOffspringRateFuzz:
+    """rate_offspring against the family closed forms at 50 digits, near the
+    mean and near the geometric domain edge: 1e-9 relative or a
+    ConvergenceError."""
+
+    @settings(max_examples=150)
+    @given(case=offspring_points())
+    def test_matches_closed_form(self, case):
+        family, param, x = case
+        law = family_law(family, param, None if family == "bernoulli" else 60)
+        try:
+            got = rate_offspring(law, x).value
+        except ConvergenceError:
+            return
+        assert relative_error(got, exact_offspring_rate(family, param, x)) <= 1e-9
