@@ -16,6 +16,7 @@ LF line endings, a header row, and 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -476,6 +477,9 @@ _DISPATCH = {
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# built once per process: building costs tens of times more than a parse,
+# and parse_args leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwldp",

@@ -12,12 +12,19 @@ O(trials x |supp f|) whatever its population.
 Reproducibility contract: all randomness derives from the scenario's master
 seed through fixed-purpose seed sequences keyed by (master_seed, purpose,
 schedule index, chunk index), and chunk layout depends only on the scenario,
-never on scheduling, so identical scenarios give identical outputs.
+never on scheduling, so identical scenarios give identical outputs.  The
+(schedule index, chunk) units of one call therefore run concurrently, one
+thread per CPU the process may use: each unit draws from its own stream into
+its own slice of the output, so which thread runs which unit cannot change a
+bit.  Threads pay because NumPy's binomial sampler releases the GIL; its
+multinomial sampler holds it for its whole loop, so two-point laws, the
+paper's running example, draw through the binomial (see ``_sum_draws``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +38,9 @@ from .progeny import ProgenyModel, build_model
 
 DEFAULT_POPULATION_CAP = 10 ** 7
 # per-chunk element budget: trials_per_chunk * max(n, |supp f|, |supp g|)
-# stays within it, capping each multinomial buffer; fixed so that streams
-# are scenario-determined
+# stays within it, capping each multinomial buffer of one worker thread, so
+# a call holds up to one such buffer per CPU; fixed so that streams are
+# scenario-determined
 _CHUNK_LINEAGES = 1 << 21
 _Z95 = 1.959963984540054
 
@@ -50,8 +58,22 @@ def _sum_draws(pmf: Pmf, counts: np.ndarray,
     truncated table is renormalized before sampling; the bias this
     introduces is bounded by the recorded deficit (at most 1e-9 for laws
     built from the family constructors).
+
+    A law on exactly two points draws the count at the lower point with
+    ``rng.binomial`` instead.  For two categories NumPy's multinomial draws
+    exactly that one binomial per entry, in entry order, so the sums and the
+    generator's state afterwards are identical; but the binomial releases
+    the GIL, so concurrent chunks overlap, while the multinomial holds it.
     """
-    return rng.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
+    probs = pmf.probs / pmf.probs.sum()
+    if pmf.support.size != 2:
+        return rng.multinomial(counts, probs) @ pmf.support
+    low = rng.binomial(counts, probs[0])
+    total = counts - low
+    total *= pmf.support[1]
+    low *= pmf.support[0]
+    total += low
+    return total
 
 
 @dataclass(frozen=True)
@@ -259,8 +281,12 @@ def _stream(scenario: LdpScenario, purpose: int, n_index: int,
 
 def _replicate_sums(scenario: LdpScenario, model: ProgenyModel,
                     purpose: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    # imported here: it loads logging, a few milliseconds that code which
+    # never simulates should not pay when it imports gwldp
+    from concurrent.futures import ThreadPoolExecutor
+
     width = max(model.f.support.size, model.g.support.size)
-    out = []
+    out, units = [], []
     for n_index, n in enumerate(scenario.n_schedule):
         trials_per_chunk = max(1, _CHUNK_LINEAGES // max(n, width))
         y_sum = np.empty(scenario.trials, dtype=np.int64)
@@ -268,12 +294,23 @@ def _replicate_sums(scenario: LdpScenario, model: ProgenyModel,
         starts = range(0, scenario.trials, trials_per_chunk)
         for chunk, start in enumerate(starts):
             stop = min(start + trials_per_chunk, scenario.trials)
-            rng = _stream(scenario, purpose, n_index, chunk)
-            z_sum[start:stop] = _sum_draws(
-                model.g, np.full(stop - start, n, dtype=np.int64), rng)
-            y_sum[start:stop] = _total_progeny_batch(
-                model.f, z_sum[start:stop], rng, scenario.population_cap)
+            units.append((n_index, n, chunk,
+                          y_sum[start:stop], z_sum[start:stop]))
         out.append((n, y_sum, z_sum))
+
+    def draw(unit) -> None:
+        n_index, n, chunk, y_part, z_part = unit
+        rng = _stream(scenario, purpose, n_index, chunk)
+        z_part[:] = _sum_draws(
+            model.g, np.full(z_part.size, n, dtype=np.int64), rng)
+        y_part[:] = _total_progeny_batch(
+            model.f, z_part, rng, scenario.population_cap)
+
+    # map raises the error of the first failing unit in unit order and
+    # cancels the units not yet started; leaving the block joins every thread
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for _ in pool.map(draw, units):
+            pass
     return out
 
 

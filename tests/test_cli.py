@@ -119,6 +119,17 @@ class TestSimulate:
         assert est[0] == "n,trial,est_ratio,est_meaninit"
         assert len(est) == 1 + 2 * 2000
 
+    def test_population_cap_exit_three(self, tmp_path, capsys, monkeypatch):
+        # several chunks per n, and a cap that only the largest n reaches
+        monkeypatch.setattr(mc, "_CHUNK_LINEAGES", 500)
+        path = self.scenario_file(tmp_path, trials=300)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(data, n_schedule=[2, 50],
+                                        population_cap=40)))
+        assert run(["simulate", "--config", str(path),
+                    "--out", str(tmp_path)]) == 3
+        assert "population cap" in capsys.readouterr().err
+
     def test_seed_replay_byte_identical(self, tmp_path, capsys):
         cfg = self.scenario_file(tmp_path, trials=500)
         for sub in ("a", "b"):

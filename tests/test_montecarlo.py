@@ -1,12 +1,17 @@
 """Tests for lineage simulation, replication, and empirical decay rates."""
 
+import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from pytest import approx
 
 import gwldp as gw
+import gwldp.montecarlo as mc
 from gwldp import (HypothesisError, LdpScenario, PopulationCapError,
                    Threshold, empirical_rate, estimator_tail_ratio,
                    pmf_from_dict, replicate, sample_progeny,
@@ -16,6 +21,11 @@ from gwldp.montecarlo import _sum_draws, _total_progeny_batch
 BERN_SPEC = {"family": "bernoulli", "params": {"p": 0.5}}
 G_ID_SPEC = {"family": "explicit", "params": {"probs": [[1, 1.0]]}}
 G_HALF_SPEC = {"family": "explicit", "params": {"probs": [[1, 0.5], [2, 0.5]]}}
+G13_SPEC = {"family": "explicit", "params": {"probs": [[1, 0.5], [3, 0.5]]}}
+POISSON_SPEC = {"family": "poisson", "params": {"lambda": 0.6},
+                "truncation_K": 40}
+GEOMETRIC_SPEC = {"family": "geometric", "params": {"a": 0.3},
+                  "truncation_K": 40}
 
 BERN = gw.pmf_from_spec(BERN_SPEC)
 G_ID = gw.pmf_from_spec(G_ID_SPEC)
@@ -29,14 +39,91 @@ def scenario(f=BERN_SPEC, g=G_HALF_SPEC, n_schedule=(5, 10), trials=200,
                        master_seed=seed, population_cap=cap)
 
 
+def serial_sums(sc, purpose):
+    """Reference sampler: one (n, chunk) unit after another on this thread,
+    every draw a multinomial split over the law's support."""
+    model = sc.model()
+
+    def sum_draws(pmf, counts, rng):
+        return rng.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
+
+    width = max(model.f.support.size, model.g.support.size)
+    out = []
+    for n_index, n in enumerate(sc.n_schedule):
+        per_chunk = max(1, mc._CHUNK_LINEAGES // max(n, width))
+        y_sum = np.empty(sc.trials, dtype=np.int64)
+        z_sum = np.empty(sc.trials, dtype=np.int64)
+        for chunk, start in enumerate(range(0, sc.trials, per_chunk)):
+            stop = min(start + per_chunk, sc.trials)
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (sc.master_seed, purpose, n_index, chunk)))
+            z = sum_draws(model.g, np.full(stop - start, n, dtype=np.int64),
+                          rng)
+            total = z.copy()
+            active = np.flatnonzero(total)
+            alive = total[active]
+            while active.size:
+                alive = sum_draws(model.f, alive, rng)
+                total[active] += alive
+                keep = alive > 0
+                active, alive = active[keep], alive[keep]
+            z_sum[start:stop] = z
+            y_sum[start:stop] = total
+        out.append((n, y_sum, z_sum))
+    return out
+
+
+def assert_same_sums(got, want):
+    assert len(got) == len(want)
+    for (n, y, z), (n_ref, y_ref, z_ref) in zip(got, want):
+        assert n == n_ref
+        assert y.dtype == y_ref.dtype and z.dtype == z_ref.dtype
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(z, z_ref)
+
+
+def spy_replicate_sums(monkeypatch):
+    """Record (scenario, purpose, result) of every ``_replicate_sums`` call."""
+    calls = []
+    real = mc._replicate_sums
+
+    def spy(sc, model, purpose):
+        result = real(sc, model, purpose)
+        calls.append((sc, purpose, result))
+        return result
+    monkeypatch.setattr(mc, "_replicate_sums", spy)
+    return calls
+
+
 class TestSampler:
-    def test_inverse_cdf_small_support(self):
+    def test_two_point_law(self):
         draws = _sum_draws(G_HALF, np.ones(200_000, dtype=np.int64),
                            np.random.default_rng(0))
         assert set(np.unique(draws)) == {1, 2}
         assert np.mean(draws == 1) == approx(0.5, abs=0.005)
 
-    def test_alias_table_wide_support(self):
+    # counts of 0, small counts (NumPy's inversion branch, count x p <= 30)
+    # and counts >= 1000 (its BTPE branch), on both sides of p = 1/2
+    @pytest.mark.parametrize("law", [{0: 0.5, 1: 0.5}, {1: 0.5, 3: 0.5},
+                                     {1: 0.3, 3: 0.7}, {0: 0.8, 3: 0.2},
+                                     {2: 0.123, 5: 0.877}])
+    @pytest.mark.parametrize("counts", [
+        np.zeros(7, dtype=np.int64),
+        np.arange(40, dtype=np.int64),
+        np.full(300, 1000, dtype=np.int64),
+        np.random.default_rng(3).integers(0, 5000, 2000),
+    ], ids=["zero", "small", "thousand", "mixed"])
+    def test_two_point_matches_multinomial_stream(self, law, counts):
+        pmf = pmf_from_dict(law)
+        ours, ref = np.random.default_rng(42), np.random.default_rng(42)
+        got = _sum_draws(pmf, counts, ours)
+        want = ref.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert ours.integers(2 ** 62, size=4).tolist() == \
+            ref.integers(2 ** 62, size=4).tolist()
+
+    def test_wide_support_multinomial(self):
         wide = gw.pmf_from_family("poisson", {"lambda": 4.0}, truncation_K=40)
         draws = _sum_draws(wide, np.ones(400_000, dtype=np.int64),
                            np.random.default_rng(1))
@@ -172,6 +259,95 @@ class TestReplicate:
         again = replicate(sc)[0]
         assert np.array_equal(chunked.y_sum, again.y_sum)
         assert whole.y_sum.size == chunked.y_sum.size
+
+
+class TestSerialReference:
+    """The threaded sampler against ``serial_sums``, element for element."""
+
+    CASES = {
+        # both laws two-point (the binomial path), at least 3 chunks per n
+        "bernoulli": (BERN_SPEC, G13_SPEC, 500),
+        # 41 support points: the multinomial path
+        "poisson": (POISSON_SPEC, G13_SPEC, None),
+        "geometric-point-start": (GEOMETRIC_SPEC, G_ID_SPEC, None),
+    }
+
+    def case(self, name, monkeypatch):
+        f, g, chunk_lineages = self.CASES[name]
+        if chunk_lineages is not None:
+            monkeypatch.setattr(mc, "_CHUNK_LINEAGES", chunk_lineages)
+        sc = scenario(f=f, g=g, n_schedule=(5, 12), trials=300, seed=2024)
+        model = sc.model()
+        width = max(model.f.support.size, model.g.support.size)
+        chunks = [-(-sc.trials // max(1, mc._CHUNK_LINEAGES // max(n, width)))
+                  for n in sc.n_schedule]
+        assert chunk_lineages is None or min(chunks) >= 3
+        return sc
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_replicate(self, name, monkeypatch):
+        sc = self.case(name, monkeypatch)
+        got = [(b.n, b.y_sum, b.z_sum) for b in replicate(sc)]
+        assert_same_sums(got, serial_sums(sc, mc._PURPOSE_REPLICATE))
+
+    @pytest.mark.parametrize("name", ["bernoulli", "poisson"])
+    def test_tail_ratio_arms(self, name, monkeypatch):
+        sc = self.case(name, monkeypatch)
+        calls = spy_replicate_sums(monkeypatch)
+        estimator_tail_ratio(sc, 0.3)
+        assert [purpose for _, purpose, _ in calls] == \
+            [mc._PURPOSE_TAIL_RANDOM, mc._PURPOSE_TAIL_DETERMINISTIC]
+        for arm, purpose, result in calls:
+            assert_same_sums(result, serial_sums(arm, purpose))
+
+
+class TestScheduling:
+    def chunked(self, monkeypatch, **kwargs):
+        monkeypatch.setattr(mc, "_CHUNK_LINEAGES", 500)
+        return scenario(g=G13_SPEC, **kwargs)
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_output_independent_of_worker_count(self, cpus, monkeypatch):
+        sc = self.chunked(monkeypatch, n_schedule=(5, 12, 30), trials=400,
+                          seed=17)
+        default = replicate(sc)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            again = replicate(sc)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_sums([(b.n, b.y_sum, b.z_sum) for b in again],
+                         [(b.n, b.y_sum, b.z_sum) for b in default])
+
+    def capped(self, monkeypatch):
+        # Y_sum >= Z_sum >= n, so a cap below the largest n trips in every
+        # unit of that n; the smaller n stay under it (checked below)
+        return self.chunked(monkeypatch, n_schedule=(2, 50), trials=300,
+                            seed=7, cap=40)
+
+    def test_cap_in_a_later_unit_propagates(self, monkeypatch):
+        sc = self.capped(monkeypatch)
+        before = threading.active_count()
+        small = replicate(dataclasses.replace(sc, n_schedule=(2,)))
+        assert small[0].y_sum.max() <= sc.population_cap
+        assert threading.active_count() == before
+        with pytest.raises(PopulationCapError):
+            replicate(sc)
+        assert threading.active_count() == before
+        with pytest.raises(PopulationCapError):
+            estimator_tail_ratio(sc, 0.3)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        sc = self.chunked(monkeypatch, n_schedule=(5, 12), trials=300)
+        before = threading.active_count()
+        replicate(sc)
+        assert threading.active_count() == before
+        estimator_tail_ratio(sc, 0.3)
+        assert threading.active_count() == before
 
 
 class TestEmpiricalRate:
