@@ -13,13 +13,13 @@ from .errors import (ConfigError, ConvergenceError, GwldpError,
 from .montecarlo import (EmpiricalRate, LdpScenario, ReplicationBlock,
                          TailRatioRow, Threshold, empirical_rate,
                          estimator_tail_ratio, replicate, sample_progeny)
-from .offspring import (GenFnDomain, Pmf, gen_fn_domain, mean, mean_exact,
+from .offspring import (CgfEvaluator, LawKernel, Pmf, mean, mean_exact,
                         pgf_eval, pgf_exact, pmf_from_dict, pmf_from_family,
                         pmf_from_spec, pmf_to_spec)
 from .progeny import (ProgenyModel, build_model, compound_pgf,
                       extinction_probability, progeny_mean,
                       total_progeny_pgf, total_progeny_pmf_dwass)
-from .ratefn import (CgfEvaluator, RateComparison, RateValue, cgf_of_pmf,
+from .ratefn import (RateComparison, RateValue, cgf_of_pmf,
                      cgf_progeny_unit, compare_rates, legendre,
                      rate_bivariate, rate_bivariate_oracle,
                      rate_estimator_deterministic, rate_estimator_meaninit,
@@ -31,12 +31,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CgfEvaluator", "ConfigError", "ConvergenceError", "EmpiricalRate",
-    "GenFnDomain", "GwldpError", "HypothesisError", "LdpScenario",
+    "GwldpError", "HypothesisError", "LawKernel", "LdpScenario",
     "ParameterError", "Pmf", "PopulationCapError", "ProgenyModel",
     "RateComparison", "RateValue", "ReplicationBlock", "TailRatioRow",
     "Threshold", "TruncationError", "build_model", "cgf_of_pmf",
     "cgf_progeny_unit", "compare_rates", "compound_pgf", "empirical_rate",
-    "estimator_tail_ratio", "extinction_probability", "gen_fn_domain",
+    "estimator_tail_ratio", "extinction_probability",
     "legendre", "mean", "mean_exact", "pgf_eval", "pgf_exact",
     "pmf_from_dict", "pmf_from_family", "pmf_from_spec", "pmf_to_spec",
     "progeny_mean", "rate_bivariate", "rate_bivariate_oracle",

@@ -226,19 +226,6 @@ class TailRatioRow:
     censored_random: bool
 
 
-def _require_simulable(model: ProgenyModel) -> None:
-    if model.mu_f >= 1.0:
-        raise HypothesisError(
-            f"simulation needs a strictly subcritical offspring law, got mean "
-            f"{model.mu_f!r}"
-        )
-    if not model.q0_zero:
-        raise HypothesisError(
-            f"simulation needs an initial law with no mass at zero, got "
-            f"q_0={model.g.p0!r}"
-        )
-
-
 def sample_progeny(f: Pmf, g: Pmf, rng: np.random.Generator,
                    population_cap: int = DEFAULT_POPULATION_CAP) -> tuple[int, int]:
     """Draw one (total progeny Y, initial population Z) pair.
@@ -247,7 +234,7 @@ def sample_progeny(f: Pmf, g: Pmf, rng: np.random.Generator,
     alive drawing an offspring count from f, until extinction.  Y counts all
     individuals ever alive, so Y >= Z >= 1.
     """
-    _require_simulable(build_model(f, g))
+    prog.require_subcritical(f, g)
     z = _sum_draws(g, np.ones(1, dtype=np.int64), rng)
     y = _total_progeny_batch(f, z, rng, population_cap)
     return int(y[0]), int(z[0])
@@ -322,7 +309,7 @@ def replicate(scenario: LdpScenario) -> list[ReplicationBlock]:
     always defined because the initial law carries no mass at zero.
     """
     model = scenario.model()
-    _require_simulable(model)
+    prog.require_subcritical(model.f, model.g)
     sums = _replicate_sums(scenario, model, _PURPOSE_REPLICATE)
     return [ReplicationBlock(n, ys, zs, model.mu_g) for n, ys, zs in sums]
 
@@ -372,7 +359,7 @@ def empirical_rate(scenario: LdpScenario, threshold: Threshold,
     Zero hits at some n is reported as a censored record, not an error.
     """
     model = scenario.model()
-    _require_simulable(model)
+    prog.require_subcritical(model.f, model.g)
     if blocks is None:
         blocks = replicate(scenario)
     reference = reference_rate(model, threshold)
@@ -406,7 +393,7 @@ def estimator_tail_ratio(scenario: LdpScenario, eps: float
     probability should fall below the random-start one as n grows.
     """
     model = scenario.model()
-    _require_simulable(model)
+    prog.require_subcritical(model.f, model.g)
     if model.mu_f <= 0.0:
         raise HypothesisError(
             "tail comparison needs a positive offspring mean; with no "

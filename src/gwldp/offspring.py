@@ -2,15 +2,18 @@
 
 A law is stored as an explicit table of (support point, probability) pairs.
 Infinite-support families (geometric, Poisson) are truncated at a caller-chosen
-index; the unrepresented mass is recorded in ``truncation_deficit`` and the
-family tag keeps the exact closed forms available to downstream transforms,
-which would otherwise inherit truncation bias.
+index; the unrepresented mass is recorded in ``truncation_deficit``.  Every law
+binds its kernel once, at construction: f, f', the cgf log f(e^theta) and its
+derivative, the mean, the convergence domain and the support ends, from the
+family's exact closed forms where the law is tagged, so downstream transforms
+never inherit truncation bias.  No other module reads the family tag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -18,8 +21,47 @@ from .errors import ParameterError, TruncationError
 
 MASS_TOL = 1e-12        # |sum(probs) + deficit - 1| accepted at construction
 DEFICIT_LIMIT = 1e-9    # family builders must represent all but this much mass
+_LOG2 = math.log(2.0)
 
 FAMILIES = ("bernoulli", "geometric", "poisson", "explicit")
+
+
+@dataclass(frozen=True, eq=False)
+class CgfEvaluator:
+    """A cumulant generating function Lambda(theta) = log E[exp(theta*W)].
+
+    ``dfn`` is its exact derivative, the mean of W tilted by exp(theta*W).
+    Carries the support metadata the conjugate solver needs for the exact
+    boundary values: the rate at the minimum (maximum) support point of W is
+    -log P(W = min) (resp. max), attained as theta -> -inf (+inf).
+    """
+
+    fn: Callable[[float], float]
+    dfn: Callable[[float], float]
+    mean: float
+    theta_max: float
+    support_min: float
+    support_max: float
+    log_mass_min: float
+    log_mass_max: float | None = None
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class LawKernel:
+    """The exact closed forms of one law, bound once when the law is built.
+
+    ``pgf`` and ``dpgf`` are f and f' on u >= 0, infinite beyond the radius.
+    ``cgf`` is log f(e^theta), its derivative the tilted mean, with the exact
+    mean, theta_max = log(radius) and the positive-mass support ends, infinite
+    for the geometric and Poisson families.  ``u_star`` is the tangency
+    u f'(u) = f(u) where a closed form gives it (infinite for a linear f).
+    """
+
+    pgf: Callable[[float], float]
+    dpgf: Callable[[float], float]
+    cgf: CgfEvaluator
+    radius: float
+    u_star: float | None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -28,9 +70,10 @@ class Pmf:
 
     ``support`` is strictly increasing, ``probs`` aligns with it, and
     ``sum(probs) + truncation_deficit == 1`` up to ``MASS_TOL``.  Instances
-    are immutable and safe to share across threads.  The fields are slots:
-    no attribute can be added after construction, which would de-specialize
-    CPython's attribute loads on every hot path that reads a law.
+    are immutable and safe to share across threads.  ``kernel`` is bound in
+    ``__post_init__``.  The fields are slots: no attribute can be added after
+    construction, which would de-specialize CPython's attribute loads on every
+    hot path that reads a law.
     """
 
     support: np.ndarray
@@ -38,6 +81,7 @@ class Pmf:
     truncation_deficit: float = 0.0
     family: str = "explicit"
     params: dict = field(default_factory=dict)
+    kernel: LawKernel = field(init=False, repr=False)
 
     def __post_init__(self):
         support = np.ascontiguousarray(self.support, dtype=np.int64)
@@ -64,6 +108,7 @@ class Pmf:
         probs.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "kernel", _bind_kernel(self))
 
     # -- small conveniences used throughout -------------------------------
 
@@ -88,21 +133,6 @@ class Pmf:
 
     def as_dict(self) -> dict[int, float]:
         return {int(k): float(p) for k, p in zip(self.support, self.probs)}
-
-
-@dataclass(frozen=True)
-class GenFnDomain:
-    """Convergence domain of a law's probability generating function.
-
-    ``radius`` is the radius of convergence of the power series,
-    ``value_at_radius`` its (possibly infinite) limit there, and
-    ``theta_max = log(radius)`` bounds the exponential arguments for which
-    the series stays finite.
-    """
-
-    radius: float
-    value_at_radius: float
-    theta_max: float
 
 
 def pmf_from_family(family: str, params: dict, truncation_K: int | None = None) -> Pmf:
@@ -193,57 +223,18 @@ def pgf_eval(pmf: Pmf, s: float) -> float:
     """
     if s < 0.0:
         raise ParameterError(f"pgf argument must be nonnegative, got {s}")
-    dom = gen_fn_domain(pmf)
-    if s > dom.radius or (s == dom.radius and math.isinf(dom.value_at_radius)):
+    # at the radius only the point mass at zero stays finite
+    radius = pmf.kernel.radius
+    if s > radius or (s == radius and pmf.max_support > 0):
         return math.inf
-    with np.errstate(over="ignore"):
-        terms = np.power(float(s), pmf.support.astype(np.float64)) * pmf.probs
-        total = float(terms.sum())
-    return total if math.isfinite(total) else math.inf
+    return _series(pmf.support.astype(np.float64), pmf.probs, s)
 
 
 def pgf_exact(pmf: Pmf, s: float) -> float:
-    """Generating function of the untruncated law, via the family closed form.
-
-    Falls back to the stored table for explicit laws (where it is exact).
-    Used by the transform machinery so truncation never biases rate values.
-    """
+    """f(s) of the untruncated law: the family closed form, or the exact table."""
     if s < 0.0:
         raise ParameterError(f"pgf argument must be nonnegative, got {s}")
-    if pmf.family == "bernoulli":
-        p = pmf.params["p"]
-        return 1.0 - p + p * s
-    if pmf.family == "geometric":
-        a = pmf.params["a"]
-        if a * s >= 1.0:
-            return math.inf
-        return (1.0 - a) / (1.0 - a * s)
-    if pmf.family == "poisson":
-        lam = pmf.params["lambda"]
-        z = lam * (s - 1.0)
-        return math.exp(z) if z < 709.0 else math.inf
-    return pgf_eval(pmf, s)
-
-
-def pgf_derivative_exact(pmf: Pmf, s: float) -> float:
-    """First derivative of the exact generating function at ``s >= 0``."""
-    if s < 0.0:
-        raise ParameterError(f"pgf argument must be nonnegative, got {s}")
-    if pmf.family == "bernoulli":
-        return pmf.params["p"]
-    if pmf.family == "geometric":
-        a = pmf.params["a"]
-        if a * s >= 1.0:
-            return math.inf
-        return (1.0 - a) * a / (1.0 - a * s) ** 2
-    if pmf.family == "poisson":
-        lam = pmf.params["lambda"]
-        return lam * pgf_exact(pmf, s)
-    sup = pmf.support.astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.where(sup > 0, sup * np.power(float(s), np.maximum(sup - 1.0, 0.0)), 0.0)
-        total = float((terms * pmf.probs).sum())
-    return total if math.isfinite(total) else math.inf
+    return pmf.kernel.pgf(s)
 
 
 def mean(pmf: Pmf) -> float:
@@ -257,38 +248,7 @@ def mean(pmf: Pmf) -> float:
 
 def mean_exact(pmf: Pmf) -> float:
     """Mean of the untruncated law, via the family closed form when tagged."""
-    if pmf.family == "bernoulli":
-        return pmf.params["p"]
-    if pmf.family == "geometric":
-        a = pmf.params["a"]
-        return a / (1.0 - a)
-    if pmf.family == "poisson":
-        return pmf.params["lambda"]
-    return mean(pmf)
-
-
-def gen_fn_domain(pmf: Pmf) -> GenFnDomain:
-    """Convergence domain of the declared law's generating function.
-
-    Finite-support and Poisson laws are entire (infinite radius); a geometric
-    law with ratio a has radius 1/a where the series diverges.  Truncated
-    storage of an explicit law is treated as genuinely finite support, with
-    the approximation recorded in the deficit.
-    """
-    if pmf.family == "geometric":
-        a = pmf.params["a"]
-        return GenFnDomain(radius=1.0 / a, value_at_radius=math.inf,
-                           theta_max=-math.log(a))
-    if pmf.family == "poisson":
-        return GenFnDomain(radius=math.inf, value_at_radius=math.inf,
-                           theta_max=math.inf)
-    # finite support: entire; the limit at infinity is finite only for a
-    # point mass at zero
-    if pmf.max_support == 0:
-        value = float(pmf.probs[-1])
-    else:
-        value = math.inf
-    return GenFnDomain(radius=math.inf, value_at_radius=value, theta_max=math.inf)
+    return pmf.kernel.cgf.mean
 
 
 def _param(params: dict, key: str) -> float:
@@ -314,3 +274,162 @@ def _truncated(support: np.ndarray, probs: np.ndarray, family: str, params: dict
         )
     return Pmf(support, probs, truncation_deficit=deficit, family=family,
                params=params)
+
+
+def _series(sup: np.ndarray, probs: np.ndarray, s: float) -> float:
+    with np.errstate(over="ignore"):
+        terms = np.power(float(s), sup) * probs
+        total = float(terms.sum())
+    return total if math.isfinite(total) else math.inf
+
+
+def _bind_kernel(pmf: Pmf) -> LawKernel:
+    """The law's kernel: the family closed forms where tagged, else the table."""
+    nz = np.flatnonzero(pmf.probs)
+    if nz.size == 0:
+        raise ParameterError("a law needs a support point of positive mass")
+    lo, hi = nz[0], nz[-1]
+    ends = {"support_min": float(pmf.support[lo]),
+            "log_mass_min": math.log(float(pmf.probs[lo])),
+            "support_max": float(pmf.support[hi]),
+            "log_mass_max": math.log(float(pmf.probs[hi]))}
+    if pmf.family in ("geometric", "poisson"):    # the table is truncated
+        ends.update(support_max=math.inf, log_mass_max=None)
+    if pmf.family == "bernoulli":
+        return _bernoulli_kernel(pmf.params["p"], ends)
+    if pmf.family == "geometric":
+        return _geometric_kernel(pmf.params["a"], ends)
+    if pmf.family == "poisson":
+        return _poisson_kernel(pmf.params["lambda"], ends)
+    return _explicit_kernel(pmf, ends)
+
+
+def _bernoulli_kernel(p: float, ends: dict) -> LawKernel:
+    q = 1.0 - p
+    if p == 0.0 or p == 1.0:
+        def log_pgf(log_s: float) -> float:
+            if log_s > 708.0:
+                return math.inf
+            return log_s if p == 1.0 else 0.0
+
+        def tilted_mean(theta: float) -> float:
+            return p
+    else:
+        log_q, log_p = math.log(q), math.log(p)
+
+        def log_pgf(log_s: float) -> float:
+            # numpy's logaddexp(log_q, log_p + log_s), step for step, in
+            # scalar libm calls
+            if log_s > 708.0:
+                return math.inf
+            y = log_p + log_s
+            if log_q == y:
+                return log_q + _LOG2
+            tmp = log_q - y
+            if tmp > 0.0:
+                return log_q + math.log1p(math.exp(-tmp))
+            if tmp <= 0.0:
+                return y + math.log1p(math.exp(tmp))
+            return tmp
+
+        def tilted_mean(theta: float) -> float:
+            if theta <= 0.0:      # p e^theta / (q + p e^theta), exponent <= 0
+                w = p * math.exp(theta)
+                return w / (q + w)
+            return p / (p + q * math.exp(-theta))
+    cgf = CgfEvaluator(log_pgf, tilted_mean, mean=p, theta_max=math.inf, **ends)
+    return LawKernel(lambda s: q + p * s, lambda s: p, cgf, radius=math.inf,
+                     u_star=math.inf)
+
+
+def _geometric_kernel(a: float, ends: dict) -> LawKernel:
+    edge, log_1ma = -math.log(a), math.log(1.0 - a)
+
+    def pgf(s: float) -> float:
+        if a * s >= 1.0:
+            return math.inf
+        return (1.0 - a) / (1.0 - a * s)
+
+    def dpgf(s: float) -> float:
+        if a * s >= 1.0:
+            return math.inf
+        return (1.0 - a) * a / (1.0 - a * s) ** 2
+
+    def log_pgf(log_s: float) -> float:
+        if log_s > 708.0 or log_s >= edge:
+            return math.inf
+        return log_1ma - math.log1p(-a * math.exp(log_s))
+
+    def tilted_mean(theta: float) -> float:
+        w = a * math.exp(theta) if theta < edge else 1.0
+        return w / (1.0 - w) if w < 1.0 else math.inf
+    cgf = CgfEvaluator(log_pgf, tilted_mean, mean=a / (1.0 - a), theta_max=edge,
+                       **ends)
+    return LawKernel(pgf, dpgf, cgf, radius=1.0 / a, u_star=0.5 / a)
+
+
+def _poisson_kernel(lam: float, ends: dict) -> LawKernel:
+    def pgf(s: float) -> float:
+        z = lam * (s - 1.0)
+        return math.exp(z) if z < 709.0 else math.inf
+    cgf = CgfEvaluator(
+        lambda log_s: math.inf if log_s > 708.0 else lam * math.expm1(log_s),
+        lambda theta: math.inf if theta > 708.0 else lam * math.exp(theta),
+        mean=lam, theta_max=math.inf, **ends)
+    return LawKernel(pgf, lambda s: lam * pgf(s), cgf, radius=math.inf,
+                     u_star=1.0 / lam)
+
+
+def _explicit_kernel(pmf: Pmf, ends: dict) -> LawKernel:
+    """The table: f and f' summed over every point, the cgf over positive mass."""
+    sup_all, probs_all = pmf.support.astype(np.float64), pmf.probs
+    finite_at_inf = pmf.max_support == 0    # a point mass at zero
+    pos = probs_all > 0.0
+    sup, probs = sup_all[pos], probs_all[pos]
+    low, high = sup - sup[0], sup - sup[-1]
+    sup_min, sup_max = ends["support_min"], ends["support_max"]
+    rel_max = float(low[-1])
+    # as log_s -> -inf only the lowest support point survives; evaluating
+    # there would give 0 * -inf = nan
+    at_minus_inf = ends["log_mass_min"] if sup_min == 0.0 else -math.inf
+
+    def pgf(s: float) -> float:
+        if s == math.inf and not finite_at_inf:
+            return math.inf
+        return _series(sup_all, probs_all, s)
+
+    def dpgf(s: float) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.where(sup_all > 0, sup_all * np.power(
+                float(s), np.maximum(sup_all - 1.0, 0.0)), 0.0)
+            total = float((terms * probs_all).sum())
+        return total if math.isfinite(total) else math.inf
+
+    def log_pgf(log_s: float) -> float:
+        if log_s > 708.0:
+            return math.inf
+        if log_s == -math.inf:
+            return at_minus_inf
+        # entering errstate costs more than a short sum; below 700 no term
+        # can overflow
+        if log_s * rel_max < 700.0:
+            acc = float(np.dot(probs, np.exp(log_s * low)))
+        else:
+            with np.errstate(over="ignore"):
+                acc = float(np.dot(probs, np.exp(log_s * low)))
+        if not math.isfinite(acc):
+            return math.inf
+        return log_s * sup_min + math.log(acc)
+
+    def tilted_mean(theta: float) -> float:
+        # anchor the exponents at the end the tilt favours, so none can
+        # overflow, and return the mean as an offset from that end
+        if math.isinf(theta):
+            return sup_min if theta < 0.0 else sup_max
+        anchor, gap = (sup_min, low) if theta <= 0.0 else (sup_max, high)
+        w = probs * np.exp(theta * gap)
+        return anchor + float(np.dot(gap, w) / w.sum())
+    cgf = CgfEvaluator(log_pgf, tilted_mean, mean=mean(pmf), theta_max=math.inf,
+                       **ends)
+    return LawKernel(pgf, dpgf, cgf, radius=math.inf,
+                     u_star=math.inf if sup_max <= 1.0 else None)

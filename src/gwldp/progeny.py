@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import offspring as off
 from .errors import ConvergenceError, HypothesisError
 from .offspring import Pmf
 
@@ -28,9 +27,8 @@ NEWTON_MAX_ITER = 200
 class ProgenyModel:
     """An offspring law paired with an initial-population law.
 
-    Carries the derived quantities used everywhere downstream: exact means,
-    the total-progeny mean nu = mu_g / (1 - mu_f), and extinction
-    probabilities for unit and random starts.
+    Carries the derived quantities used everywhere downstream: the exact means
+    and the total-progeny mean nu = mu_g / (1 - mu_f).
     """
 
     f: Pmf
@@ -38,33 +36,34 @@ class ProgenyModel:
     mu_f: float
     mu_g: float
     nu: float
-    p_ext_unit: float
-    p_ext: float
-    subcritical_strict: bool
-    q0_zero: bool
 
 
 def build_model(f: Pmf, g: Pmf) -> ProgenyModel:
-    mu_f = off.mean_exact(f)
-    mu_g = off.mean_exact(g)
+    mu_f, mu_g = f.kernel.cgf.mean, g.kernel.cgf.mean
     if mu_f < 1.0:
         nu = mu_g / (1.0 - mu_f)
     elif mu_f == 1.0:
         nu = math.inf if mu_g > 0.0 else 0.0
     else:
         nu = math.nan  # supercritical: total progeny defective
-    p_unit = extinction_probability(f)
-    return ProgenyModel(
-        f=f,
-        g=g,
-        mu_f=mu_f,
-        mu_g=mu_g,
-        nu=nu,
-        p_ext_unit=p_unit,
-        p_ext=off.pgf_exact(g, p_unit),
-        subcritical_strict=mu_f < 1.0,
-        q0_zero=g.p0 == 0.0,
-    )
+    return ProgenyModel(f=f, g=g, mu_f=mu_f, mu_g=mu_g, nu=nu)
+
+
+def require_subcritical(f: Pmf, g: Pmf | None = None) -> None:
+    """Raise HypothesisError unless f is strictly subcritical with mass at zero
+    and, when g is given, g has none: the hypotheses of every rate, and with g
+    those of the two estimators and of the sampler."""
+    mu = f.kernel.cgf.mean
+    if f.p0 <= 0.0 or mu >= 1.0:
+        raise HypothesisError(
+            "requires a strictly subcritical offspring law with mass at zero "
+            f"(got p_0={f.p0!r}, mean={mu!r})"
+        )
+    if g is not None and g.p0 != 0.0:
+        raise HypothesisError(
+            "estimator rates need an initial law with no mass at zero "
+            f"(got q_0={g.p0!r}), so the empirical means stay positive"
+        )
 
 
 def extinction_probability(f: Pmf, tol: float = FIXED_POINT_TOL,
@@ -75,11 +74,11 @@ def extinction_probability(f: Pmf, tol: float = FIXED_POINT_TOL,
     mu_f <= 1); otherwise iterates s <- f(s) from 0, which increases
     monotonically to the minimal root.
     """
-    if f.p0 > 0.0 and off.mean_exact(f) <= 1.0:
+    if f.p0 > 0.0 and f.kernel.cgf.mean <= 1.0:
         return 1.0
-    s = 0.0
+    pgf, s = f.kernel.pgf, 0.0
     for _ in range(max_iter):
-        s_next = off.pgf_exact(f, s)
+        s_next = pgf(s)
         if abs(s_next - s) < tol:
             return s_next
         s = s_next
@@ -89,7 +88,7 @@ def extinction_probability(f: Pmf, tol: float = FIXED_POINT_TOL,
 
 
 def _require_proper(f: Pmf) -> None:
-    mu = off.mean_exact(f)
+    mu = f.kernel.cgf.mean
     if f.p0 <= 0.0 or mu > 1.0:
         raise HypothesisError(
             "total progeny is defective unless the offspring law has mass at "
@@ -144,14 +143,15 @@ def total_progeny_pgf(f: Pmf, s: float) -> float:
     # the tangent of a convex h lies below it, so from a point with h > 0 a
     # Newton step lands at or before the smallest root
     u = 0.0 if s < 1.0 else 1.0
+    pgf, dpgf = f.kernel.pgf, f.kernel.dpgf
     for _ in range(NEWTON_MAX_ITER):
-        fu = off.pgf_exact(f, u)
+        fu = pgf(u)
         if math.isinf(fu):
             return math.inf
         h = s * fu - u
         if h <= 0.0:
             return u
-        hp = s * off.pgf_derivative_exact(f, u) - 1.0
+        hp = s * dpgf(u) - 1.0
         if hp >= 0.0:
             return math.inf
         u_next = u - h / hp
@@ -169,7 +169,7 @@ def compound_pgf(model: ProgenyModel, s: float) -> float:
     inner = total_progeny_pgf(model.f, s)
     if math.isinf(inner):
         return math.inf
-    return off.pgf_exact(model.g, inner)
+    return model.g.kernel.pgf(inner)
 
 
 def progeny_mean(model: ProgenyModel) -> float:

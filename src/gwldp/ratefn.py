@@ -21,21 +21,18 @@ G = s*f(G)).  It finds domain edges through infinite evaluations (the progeny
 cgf's edge is also exact, from the tangency u f'(u) = f(u)), takes a supremum
 still rising at an edge at the last finite point, and reports brackets beyond
 |theta| = 700, where exp overflows, as capped values with a saturation marker.
-A law's log-pgf and its derivative are bound once per cgf evaluator.
+A law's log-pgf and its derivative are read from its kernel, bound once when
+the law is built (``offspring.LawKernel``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
-
-from . import offspring as off
 from . import progeny as prog
 from .errors import HypothesisError
-from .offspring import Pmf
+from .offspring import CgfEvaluator, Pmf
 from .progeny import ProgenyModel
 
 THETA_CAP = 700.0       # |theta| beyond which exp(theta) is numerically unusable
@@ -44,33 +41,12 @@ GOLDEN_TOL = 1e-9       # interval tolerance for 1-D minimizations (golden_min)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction, 1 - 1/phi
 _SQRT_EPS = math.sqrt(2.0 ** -52)
-_LOG2 = math.log(2.0)
 # 3- and 4-point Gauss-Legendre (node, weight) pairs on [0, 1]
 _GAUSS = [[(0.1127016653792583, 5 / 18), (0.5, 4 / 9), (0.8872983346207417, 5 / 18)],
           [(0.06943184420297371, 0.17392742256872679),
            (0.33000947820757187, 0.3260725774312732),
            (0.6699905217924281, 0.3260725774312732),
            (0.9305681557970262, 0.17392742256872679)]]
-
-
-@dataclass(frozen=True, eq=False)
-class CgfEvaluator:
-    """A cumulant generating function Lambda(theta) = log E[exp(theta*W)].
-
-    ``dfn`` is its exact derivative, the mean of W tilted by exp(theta*W).
-    Carries the support metadata the conjugate solver needs for the exact
-    boundary values: the rate at the minimum (maximum) support point of W is
-    -log P(W = min) (resp. max), attained as theta -> -inf (+inf).
-    """
-
-    fn: Callable[[float], float]
-    dfn: Callable[[float], float]
-    mean: float
-    theta_max: float
-    support_min: float
-    support_max: float
-    log_mass_min: float
-    log_mass_max: float | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,147 +69,10 @@ def _safe_log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
 
 
-def _log_pgf(pmf: Pmf) -> Callable[[float], float]:
-    """log f(s) at s = exp(log_s) as a function of log_s, for the law pmf.
-
-    Stable for very negative and large log_s.  The family dispatch, the
-    parameters and an explicit law's positive-mass arrays are bound here,
-    once, so that each call does only the arithmetic.  The caller holds the
-    closure: a Pmf has slots, so nothing can be stored on the law.
-    """
-    fam = pmf.family
-    if fam == "bernoulli":
-        p = pmf.params["p"]
-        if p == 0.0:
-            return lambda log_s: math.inf if log_s > 708.0 else 0.0
-        if p == 1.0:
-            return lambda log_s: math.inf if log_s > 708.0 else log_s
-        log_q, log_p = math.log(1.0 - p), math.log(p)
-
-        def bernoulli(log_s: float) -> float:
-            # numpy's logaddexp(log_q, log_p + log_s), step for step, in
-            # scalar libm calls
-            if log_s > 708.0:
-                return math.inf
-            y = log_p + log_s
-            if log_q == y:
-                return log_q + _LOG2
-            tmp = log_q - y
-            if tmp > 0.0:
-                return log_q + math.log1p(math.exp(-tmp))
-            if tmp <= 0.0:
-                return y + math.log1p(math.exp(tmp))
-            return tmp
-        return bernoulli
-    if fam == "geometric":
-        a = pmf.params["a"]
-        edge, log_1ma = -math.log(a), math.log(1.0 - a)
-
-        def geometric(log_s: float) -> float:
-            if log_s > 708.0 or log_s >= edge:
-                return math.inf
-            return log_1ma - math.log1p(-a * math.exp(log_s))
-        return geometric
-    if fam == "poisson":
-        lam = pmf.params["lambda"]
-        return lambda log_s: math.inf if log_s > 708.0 else lam * math.expm1(log_s)
-
-    pos = pmf.probs > 0.0
-    sup = pmf.support[pos].astype(np.float64)
-    probs = pmf.probs[pos]
-    rel = sup - sup[0]
-    sup_min, rel_max = float(sup[0]), float(rel[-1])
-    # as log_s -> -inf only the lowest support point survives; evaluating
-    # there would give 0 * -inf = nan
-    at_minus_inf = math.log(float(probs[0])) if sup_min == 0.0 else -math.inf
-
-    def explicit(log_s: float) -> float:
-        if log_s > 708.0:
-            return math.inf
-        if log_s == -math.inf:
-            return at_minus_inf
-        # entering errstate costs more than a short sum; below 700 no term
-        # can overflow
-        if log_s * rel_max < 700.0:
-            acc = float(np.dot(probs, np.exp(log_s * rel)))
-        else:
-            with np.errstate(over="ignore"):
-                acc = float(np.dot(probs, np.exp(log_s * rel)))
-        if not math.isfinite(acc):
-            return math.inf
-        return log_s * sup_min + math.log(acc)
-    return explicit
-
-
-def _dlog_pgf(pmf: Pmf) -> Callable[[float], float]:
-    """Lambda'(theta) = e^theta f'(e^theta)/f(e^theta), the mean of pmf tilted
-    by exp(theta*h), bound once like _log_pgf; the limits at +-inf included."""
-    fam = pmf.family
-    if fam == "bernoulli":
-        p = pmf.params["p"]
-        if p == 0.0 or p == 1.0:
-            return lambda theta: p
-        q = 1.0 - p
-
-        def bernoulli(theta: float) -> float:
-            if theta <= 0.0:      # p e^theta / (q + p e^theta), exponent <= 0
-                w = p * math.exp(theta)
-                return w / (q + w)
-            return p / (p + q * math.exp(-theta))
-        return bernoulli
-    if fam == "geometric":
-        a = pmf.params["a"]
-        edge = -math.log(a)
-
-        def geometric(theta: float) -> float:
-            w = a * math.exp(theta) if theta < edge else 1.0
-            return w / (1.0 - w) if w < 1.0 else math.inf
-        return geometric
-    if fam == "poisson":
-        lam = pmf.params["lambda"]
-        return lambda theta: math.inf if theta > 708.0 else lam * math.exp(theta)
-
-    pos = pmf.probs > 0.0
-    sup = pmf.support[pos].astype(np.float64)
-    probs = pmf.probs[pos]
-    low, high = sup - sup[0], sup - sup[-1]
-    sup_min, sup_max = float(sup[0]), float(sup[-1])
-
-    def explicit(theta: float) -> float:
-        # anchor the exponents at the end the tilt favours, so none can
-        # overflow, and return the mean as an offset from that end
-        if math.isinf(theta):
-            return sup_min if theta < 0.0 else sup_max
-        anchor, gap = (sup_min, low) if theta <= 0.0 else (sup_max, high)
-        w = probs * np.exp(theta * gap)
-        return anchor + float(np.dot(gap, w) / w.sum())
-    return explicit
-
-
 def cgf_of_pmf(pmf: Pmf) -> CgfEvaluator:
-    """Cgf of an integer law W ~ pmf: Lambda(theta) = log f(exp(theta)).
-
-    Uses the exact family closed form where tagged, so truncated storage does
-    not bias the transform.
-    """
-    dom = off.gen_fn_domain(pmf)
-    pos = pmf.probs > 0.0
-    s_min = float(pmf.support[pos][0])
-    if pmf.family in ("geometric", "poisson"):
-        s_max, log_mass_max = math.inf, None
-    else:
-        s_max = float(pmf.support[pos][-1])
-        log_mass_max = _safe_log(float(pmf.probs[pos][-1]))
-    return CgfEvaluator(
-        fn=_log_pgf(pmf),
-        dfn=_dlog_pgf(pmf),
-        mean=off.mean_exact(pmf),
-        theta_max=dom.theta_max,
-        support_min=s_min,
-        support_max=s_max,
-        log_mass_min=_safe_log(float(pmf.probs[pos][0])),
-        log_mass_max=log_mass_max,
-    )
+    """Cgf of an integer law W ~ pmf: Lambda(theta) = log f(exp(theta)), from
+    the law's kernel, whose exact family closed forms truncation cannot bias."""
+    return pmf.kernel.cgf
 
 
 def _progeny_edge(f: Pmf, u_cap: float = math.inf) -> float:
@@ -244,17 +83,12 @@ def _progeny_edge(f: Pmf, u_cap: float = math.inf) -> float:
     linear one.  An outer generating function with radius u_cap below u*
     caps the edge at u_cap/f(u_cap), where G reaches that radius.
     """
-    if f.family == "poisson":
-        u_star = 1.0 / f.params["lambda"]
-    elif f.family == "geometric":
-        u_star = 0.5 / f.params["a"]
-    elif f.support[f.probs > 0.0][-1] <= 1:
-        u_star = math.inf
-    else:
+    pgf, dpgf, u_star = f.kernel.pgf, f.kernel.dpgf, f.kernel.u_star
+    if u_star is None:
         # u f'(u) - f(u) = sum (h-1) p_h u^h rises on u > 0 and is negative at
         # u = 1 (mu_f < 1): double past its sign change, then bisect to an ulp
         def rising(u: float) -> bool:
-            return u * off.pgf_derivative_exact(f, u) >= off.pgf_exact(f, u)
+            return u * dpgf(u) >= pgf(u)
         u_star, hi = 1.0, math.inf
         while u_star < (mid := min(2.0 * u_star, 0.5 * (u_star + hi))) < hi:
             u_star, hi = (u_star, mid) if rising(mid) else (mid, hi)
@@ -262,7 +96,7 @@ def _progeny_edge(f: Pmf, u_cap: float = math.inf) -> float:
     if math.isinf(u):
         return -_safe_log(f.prob(1))
     # u/f(u) is stationary at u*, so an error in u* barely moves the edge
-    return math.log(u / off.pgf_exact(f, u))
+    return math.log(u / pgf(u))
 
 
 def _progeny_slope(f: Pmf, beta: float) -> tuple[float, float]:
@@ -270,7 +104,7 @@ def _progeny_slope(f: Pmf, beta: float) -> tuple[float, float]:
     is 1/(1 - s f'(G)), infinite where G is and at the edge's tangency."""
     s = math.exp(min(beta, 708.0))
     v = prog.total_progeny_pgf(f, s)
-    slack = 1.0 - s * off.pgf_derivative_exact(f, v) if math.isfinite(v) else 0.0
+    slack = 1.0 - s * f.kernel.dpgf(v) if math.isfinite(v) else 0.0
     return v, 1.0 / slack if slack > 0.0 else math.inf
 
 
@@ -280,7 +114,7 @@ def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
     Lambda' uses f, f' and G, never I_f.  P(Y = 1) = p_0 pins the exact
     boundary value of the conjugate at y = 1.
     """
-    _require_subcritical(f)
+    prog.require_subcritical(f)
 
     def fn(beta: float) -> float:
         v = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
@@ -290,7 +124,7 @@ def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
     return CgfEvaluator(
         fn=fn,
         dfn=lambda beta: _progeny_slope(f, beta)[1],
-        mean=1.0 / (1.0 - off.mean_exact(f)),
+        mean=1.0 / (1.0 - f.kernel.cgf.mean),
         theta_max=_progeny_edge(f),
         support_min=1.0,
         support_max=1.0 if childless else math.inf,
@@ -301,7 +135,7 @@ def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
 
 def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
     """Cgf of the total progeny with random start: log g(G(exp(beta)))."""
-    _require_subcritical(model.f)
+    prog.require_subcritical(model.f)
     f, cg = model.f, cgf_of_pmf(model.g)
     log_g, dlog_g = cg.fn, cg.dfn
 
@@ -322,7 +156,7 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
         fn=fn,
         dfn=dfn,
         mean=model.nu,
-        theta_max=_progeny_edge(f, off.gen_fn_domain(model.g).radius),
+        theta_max=_progeny_edge(f, model.g.kernel.radius),
         support_min=cg.support_min,
         support_max=cg.support_max if childless else math.inf,
         log_mass_min=cg.log_mass_min + cg.support_min * _safe_log(f.p0),
@@ -500,24 +334,6 @@ def golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL,
 # the one-dimensional rates
 # ---------------------------------------------------------------------------
 
-def _require_subcritical(f: Pmf) -> None:
-    mu = off.mean_exact(f)
-    if f.p0 <= 0.0 or mu >= 1.0:
-        raise HypothesisError(
-            "requires a strictly subcritical offspring law with mass at zero "
-            f"(got p_0={f.p0!r}, mean={mu!r})"
-        )
-
-
-def _require_estimator_hypotheses(model: ProgenyModel) -> None:
-    _require_subcritical(model.f)
-    if not model.q0_zero:
-        raise HypothesisError(
-            "estimator rates need an initial law with no mass at zero "
-            f"(got q_0={model.g.p0!r}), so the empirical means stay positive"
-        )
-
-
 def rate_offspring(f: Pmf, x: float) -> RateValue:
     """Rate function I_f of the empirical mean of i.i.d. offspring counts."""
     return legendre(cgf_of_pmf(f), x)
@@ -542,7 +358,7 @@ def rate_progeny_closed(f: Pmf, y: float) -> RateValue:
     Below y = 1 the rate is infinite, since the total progeny is at least 1
     almost surely.
     """
-    _require_subcritical(f)
+    prog.require_subcritical(f)
     if y < 1.0:
         return RateValue(math.inf, "below_support", route="closed")
     inner = rate_offspring(f, (y - 1.0) / y)
@@ -550,10 +366,10 @@ def rate_progeny_closed(f: Pmf, y: float) -> RateValue:
 
 
 def _require_bivariate_hypotheses(model: ProgenyModel) -> None:
-    _require_subcritical(model.f)
+    prog.require_subcritical(model.f)
     if not math.isfinite(model.mu_g):
         raise HypothesisError("initial-population mean must be finite")
-    if off.gen_fn_domain(model.g).theta_max <= 0.0:
+    if model.g.kernel.cgf.theta_max <= 0.0:
         raise HypothesisError(
             "joint exponential moments must be finite near the origin; "
             "the initial law's generating function needs a radius above 1"
@@ -638,13 +454,13 @@ def rate_estimator_ratio(model: ProgenyModel, x: float) -> RateValue:
     with no initial mass at zero, points where I_f is infinite also map to
     infinity through g(0) = 0.
     """
-    _require_estimator_hypotheses(model)
+    prog.require_subcritical(model.f, model.g)
     if not 0.0 <= x < 1.0:
         return RateValue(math.inf, "outside_domain", route="closed")
     c = rate_offspring(model.f, x).value / (1.0 - x)
     if math.isinf(c):
         return RateValue(math.inf, "offspring_rate_infinite", route="closed")
-    value = -_log_pgf(model.g)(-c)
+    value = -model.g.kernel.cgf.fn(-c)
     return RateValue(_nonneg(value), None, route="closed")
 
 
@@ -654,7 +470,7 @@ def rate_estimator_deterministic(f: Pmf, mu_g: float, x: float) -> RateValue:
     mu_g * I_f(x)/(1-x) on [0, 1), infinite elsewhere.  mu_g is a population
     size, at least 1; non-integer values are accepted for comparison sweeps.
     """
-    _require_subcritical(f)
+    prog.require_subcritical(f)
     if mu_g < 1.0:
         raise HypothesisError(
             f"deterministic initial population must be at least 1, got {mu_g!r}"
@@ -705,7 +521,7 @@ def rate_estimator_meaninit(model: ProgenyModel, x: float) -> RateValue:
     z = mu_g/(1-x) and the rate collapses to I_g there, which also yields the
     finite range x >= 1 - mu_g/r_min.
     """
-    _require_estimator_hypotheses(model)
+    prog.require_subcritical(model.f, model.g)
     if x >= 1.0:
         return RateValue(math.inf, "outside_domain", route="direct")
     y0 = model.mu_g / (1.0 - x)
@@ -722,7 +538,7 @@ def rate_progeny_marginal(model: ProgenyModel, y: float) -> RateValue:
     Contraction of the joint rate onto its first coordinate; the unit-start
     closed form is used when the initial population is surely 1.
     """
-    _require_subcritical(model.f)
+    prog.require_subcritical(model.f)
     g = model.g
     if g.support.size == 1 and g.min_support == 1:
         return rate_progeny_closed(model.f, y)
@@ -736,7 +552,7 @@ def ratio_rate_via_contraction(model: ProgenyModel, x: float,
     Minimizes rate_bivariate(z/(1-x), z) over z; independent oracle for
     rate_estimator_ratio, exercising the contraction along (y-z)/y = x.
     """
-    _require_estimator_hypotheses(model)
+    prog.require_subcritical(model.f, model.g)
     if not 0.0 <= x < 1.0:
         return RateValue(math.inf, "outside_domain", route="oracle")
     cg = cgf_of_pmf(model.g)
@@ -782,7 +598,7 @@ def compare_rates(model: ProgenyModel, x_grid) -> list[RateComparison]:
     A chain flag additionally records J_diamond > I_f > 0 on (0,1) away
     from the offspring mean whenever mu_g >= 1.
     """
-    _require_estimator_hypotheses(model)
+    prog.require_subcritical(model.f, model.g)
     mu_g = model.mu_g
     extrapolated = abs(mu_g - round(mu_g)) > 1e-12
     rows = []

@@ -130,6 +130,18 @@ class TestSimulate:
                     "--out", str(tmp_path)]) == 3
         assert "population cap" in capsys.readouterr().err
 
+    def test_no_mass_at_zero_exit_three(self, tmp_path, capsys):
+        # an offspring law with mean below 1 but no mass at zero is rejected
+        # by the hypotheses at once, before a tree can reach the cap
+        path = self.scenario_file(tmp_path)
+        data = json.loads(path.read_text())
+        f = {"family": "explicit", "params": {"probs": [[1, 1.0 - 1e-13]]}}
+        path.write_text(json.dumps(dict(data, f=f, population_cap=10 ** 4)))
+        assert run(["simulate", "--config", str(path),
+                    "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "mass at zero" in err and "population cap" not in err
+
     def test_seed_replay_byte_identical(self, tmp_path, capsys):
         cfg = self.scenario_file(tmp_path, trials=500)
         for sub in ("a", "b"):

@@ -171,6 +171,17 @@ class TestSampleProgeny:
             sample_progeny(BERN, pmf_from_dict({0: 0.5, 1: 0.5}),
                            np.random.default_rng(0))
 
+    def test_no_mass_at_zero_rejected(self):
+        # mean 1 - 1e-13 is below 1, but with no mass at zero every individual
+        # has a child and no tree dies out: rejected before any draw, not by
+        # the population cap
+        f_spec = {"family": "explicit", "params": {"probs": [[1, 1.0 - 1e-13]]}}
+        with pytest.raises(HypothesisError, match="mass at zero"):
+            sample_progeny(gw.pmf_from_spec(f_spec), G_ID,
+                           np.random.default_rng(0), population_cap=10 ** 4)
+        with pytest.raises(HypothesisError, match="mass at zero"):
+            replicate(scenario(f=f_spec, g=G_ID_SPEC, cap=10 ** 4))
+
 
 class TestBatchKernel:
     def test_matches_dwass_within_three_sigma(self):

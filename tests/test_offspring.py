@@ -1,14 +1,17 @@
 """Tests for integer-supported laws and their generating functions."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from gwldp import (GenFnDomain, ParameterError, TruncationError,
-                   gen_fn_domain, mean, mean_exact, pgf_eval, pgf_exact,
-                   pmf_from_dict, pmf_from_family, pmf_from_spec, pmf_to_spec)
+import gwldp
+from gwldp import (ParameterError, Pmf, TruncationError, mean, mean_exact,
+                   pgf_eval, pgf_exact, pmf_from_dict, pmf_from_family,
+                   pmf_from_spec, pmf_to_spec)
 
 
 def poisson_series_oracle(lam, k_max):
@@ -69,6 +72,12 @@ class TestFamilies:
         with pytest.raises(ParameterError):
             pmf_from_dict({-1: 0.5, 1: 0.5})
 
+    def test_rejects_a_table_without_positive_mass(self):
+        # the mass check alone admits it when the deficit carries all of it,
+        # but a kernel needs the ends of the positive-mass support
+        with pytest.raises(ParameterError, match="positive mass"):
+            Pmf(np.array([0, 1]), np.array([0.0, 0.0]), truncation_deficit=1.0)
+
 
 class TestPgf:
     def test_at_one_is_total_mass(self):
@@ -101,27 +110,44 @@ class TestPgf:
 
 
 class TestDomains:
+    # the domain is read from the law's kernel; the value at the radius
+    # through pgf_eval
     def test_finite_support_entire(self):
-        dom = gen_fn_domain(pmf_from_dict({0: 0.5, 1: 0.5}))
-        assert math.isinf(dom.radius)
-        assert math.isinf(dom.theta_max)
+        pmf = pmf_from_dict({0: 0.5, 1: 0.5})
+        assert math.isinf(pmf.kernel.radius)
+        assert math.isinf(pmf.kernel.cgf.theta_max)
+        assert math.isinf(pgf_eval(pmf, pmf.kernel.radius))
 
     def test_geometric_ratio_test(self):
         # ratio test on (1-a) a^h: radius of convergence is 1/a
         a = 0.4
-        dom = gen_fn_domain(pmf_from_family("geometric", {"a": a}, truncation_K=60))
-        assert dom.radius == approx(2.5)
-        assert dom.theta_max == approx(math.log(2.5))
-        assert math.isinf(dom.value_at_radius)
+        pmf = pmf_from_family("geometric", {"a": a}, truncation_K=60)
+        assert pmf.kernel.radius == approx(2.5)
+        assert pmf.kernel.cgf.theta_max == approx(math.log(2.5))
+        assert math.isinf(pgf_eval(pmf, pmf.kernel.radius))
 
     def test_poisson_entire(self):
-        dom = gen_fn_domain(pmf_from_family("poisson", {"lambda": 0.5},
-                                            truncation_K=40))
-        assert math.isinf(dom.radius)
+        pmf = pmf_from_family("poisson", {"lambda": 0.5}, truncation_K=40)
+        assert math.isinf(pmf.kernel.radius)
 
     def test_point_mass_at_zero_has_bounded_pgf(self):
-        dom = gen_fn_domain(pmf_from_dict({0: 1.0}))
-        assert dom.value_at_radius == approx(1.0)
+        pmf = pmf_from_dict({0: 1.0})
+        assert pgf_eval(pmf, pmf.kernel.radius) == approx(1.0)
+
+
+def test_no_family_dispatch_outside_offspring():
+    # each law binds its closed forms once, in offspring.py's kernel; reading
+    # a law's family tag or parameters in another module is a dispatch
+    # growing back
+    reads = []
+    for path in sorted(pathlib.Path(gwldp.__file__).parent.glob("*.py")):
+        if path.name == "offspring.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr in ("family", "params")]
+    assert not reads, reads
 
 
 LAWS = [

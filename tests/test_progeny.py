@@ -1,5 +1,6 @@
 """Tests for total-progeny distributions and generating functions."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from gwldp import (ConvergenceError, HypothesisError, build_model,
-                   compound_pgf, extinction_probability, pmf_from_dict,
-                   pmf_from_family, progeny_mean, rate_progeny_direct,
-                   total_progeny_pgf, total_progeny_pmf_dwass)
-from gwldp import offspring, progeny
+                   compound_pgf, extinction_probability, pgf_exact,
+                   pmf_from_dict, pmf_from_family, progeny_mean,
+                   rate_progeny_direct, total_progeny_pgf,
+                   total_progeny_pmf_dwass)
+from gwldp import progeny
 
 BERN = pmf_from_dict({0: 0.5, 1: 0.5})
 
@@ -98,9 +100,9 @@ class TestExtinction:
         assert extinction_probability(pmf) == approx(0.4 / 0.6, abs=1e-10)
 
     def test_random_start_compounds_through_g(self):
-        model = build_model(pmf_from_dict({0: 0.25, 2: 0.75}),
-                            pmf_from_dict({2: 1.0}))
-        assert model.p_ext == approx((1.0 / 3.0) ** 2, abs=1e-10)
+        p_unit = extinction_probability(pmf_from_dict({0: 0.25, 2: 0.75}))
+        assert pgf_exact(pmf_from_dict({2: 1.0}), p_unit) == approx(
+            (1.0 / 3.0) ** 2, abs=1e-10)
 
 
 class TestDwass:
@@ -255,15 +257,17 @@ class TestNewtonPgf:
             got = total_progeny_pgf(f, s)
             assert abs(got - exact) <= 1e-12 * exact, s
 
-    def test_few_pgf_evaluations(self, monkeypatch):
+    def test_few_pgf_evaluations(self):
         # Newton converges quadratically from u = 0, so even at mean 0.999
-        # each G takes at most a dozen steps of two calls (Poisson's f' is
-        # lam*f); the iteration G <- s*f(G) needs thousands as s nears 1
+        # each G takes at most a dozen steps of two calls, f and f', counted
+        # on the law's kernel; the iteration G <- s*f(G) needs thousands as
+        # s nears 1
         calls = []
-        pgf_exact = offspring.pgf_exact
-        monkeypatch.setattr(offspring, "pgf_exact",
-                            lambda pmf, u: calls.append(u) or pgf_exact(pmf, u))
         pmf = pmf_from_family("poisson", {"lambda": 0.999}, truncation_K=80)
+        kernel = pmf.kernel
+        object.__setattr__(pmf, "kernel", dataclasses.replace(
+            kernel, pgf=lambda u: calls.append(u) or kernel.pgf(u),
+            dpgf=lambda u: calls.append(u) or kernel.dpgf(u)))
         for s in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0000004):
             calls.clear()
             total_progeny_pgf(pmf, s)
@@ -370,7 +374,6 @@ class TestAgreementInvariants:
         assert abs(series_mean - progeny_mean(model)) < 1e-10
 
     def test_fixed_point_residuals(self):
-        from gwldp import pgf_exact
         for law in ({0: 0.5, 1: 0.5}, {0: 0.6, 1: 0.2, 2: 0.2}):
             pmf = pmf_from_dict(law)
             for s in np.linspace(0.0, 1.0, 21):

@@ -14,6 +14,7 @@ same family rates, evaluated at 50 digits with mpmath, check relative error.
 
 import dataclasses
 import math
+import struct
 import warnings
 
 import mpmath
@@ -112,6 +113,82 @@ def reference_log_pgf(pmf, log_s):
     if not math.isfinite(acc):
         return math.inf
     return log_s * float(sup[0]) + math.log(acc)
+
+
+def reference_pgf(pmf, s):
+    """f(s) for s >= 0 as computed per call by a dispatch on the family tag.
+
+    This and the next two are the per-call forms the law kernel replaced; the
+    kernel must reproduce each of them bit for bit.
+    """
+    if pmf.family == "bernoulli":
+        p = pmf.params["p"]
+        return 1.0 - p + p * s
+    if pmf.family == "geometric":
+        a = pmf.params["a"]
+        if a * s >= 1.0:
+            return math.inf
+        return (1.0 - a) / (1.0 - a * s)
+    if pmf.family == "poisson":
+        lam = pmf.params["lambda"]
+        z = lam * (s - 1.0)
+        return math.exp(z) if z < 709.0 else math.inf
+    if s == math.inf and pmf.max_support > 0:    # a finite table is entire
+        return math.inf
+    with np.errstate(over="ignore"):
+        terms = np.power(float(s), pmf.support.astype(np.float64)) * pmf.probs
+        total = float(terms.sum())
+    return total if math.isfinite(total) else math.inf
+
+
+def reference_dpgf(pmf, s):
+    """f'(s) for s >= 0, per call."""
+    if pmf.family == "bernoulli":
+        return pmf.params["p"]
+    if pmf.family == "geometric":
+        a = pmf.params["a"]
+        if a * s >= 1.0:
+            return math.inf
+        return (1.0 - a) * a / (1.0 - a * s) ** 2
+    if pmf.family == "poisson":
+        lam = pmf.params["lambda"]
+        return lam * reference_pgf(pmf, s)
+    sup = pmf.support.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(sup > 0, sup * np.power(float(s), np.maximum(sup - 1.0, 0.0)), 0.0)
+        total = float((terms * pmf.probs).sum())
+    return total if math.isfinite(total) else math.inf
+
+
+def reference_tilted_mean(pmf, theta):
+    """e^theta f'(e^theta)/f(e^theta), per call, arrays rebuilt each time."""
+    fam = pmf.family
+    if fam == "bernoulli":
+        p = pmf.params["p"]
+        if p == 0.0 or p == 1.0:
+            return p
+        q = 1.0 - p
+        if theta <= 0.0:
+            w = p * math.exp(theta)
+            return w / (q + w)
+        return p / (p + q * math.exp(-theta))
+    if fam == "geometric":
+        a = pmf.params["a"]
+        w = a * math.exp(theta) if theta < -math.log(a) else 1.0
+        return w / (1.0 - w) if w < 1.0 else math.inf
+    if fam == "poisson":
+        lam = pmf.params["lambda"]
+        return math.inf if theta > 708.0 else lam * math.exp(theta)
+    pos = pmf.probs > 0.0
+    sup = pmf.support[pos].astype(np.float64)
+    probs = pmf.probs[pos]
+    low, high = sup - sup[0], sup - sup[-1]
+    sup_min, sup_max = float(sup[0]), float(sup[-1])
+    if math.isinf(theta):
+        return sup_min if theta < 0.0 else sup_max
+    anchor, gap = (sup_min, low) if theta <= 0.0 else (sup_max, high)
+    w = probs * np.exp(theta * gap)
+    return anchor + float(np.dot(gap, w) / w.sum())
 
 
 def exact_offspring_rate(family, param, x):
@@ -275,8 +352,9 @@ class TestBoundLogPgf:
             assert cgf_of_pmf(G_HALF).fn(-math.inf) == -math.inf
 
     def test_laws_keep_their_attributes(self):
-        # evaluators are bound per cgf, never stored on the shared law: a law
-        # has slots and no instance dict, so nothing can be added to it
+        # the evaluators live in the law's kernel, a slot declared on the
+        # dataclass and bound at construction; a law has no instance dict, so
+        # nothing can be added to it
         f, g = pmf_from_dict({0: 0.5, 1: 0.5}), pmf_from_dict({1: 0.5, 2: 0.5})
         model = build_model(f, g)
         rate_offspring(f, 0.25)
@@ -287,6 +365,81 @@ class TestBoundLogPgf:
             assert not hasattr(law, "__dict__")
             with pytest.raises(AttributeError):
                 object.__setattr__(law, "x", 1)
+
+
+KERNEL_LAWS = {
+    "bernoulli-0": pmf_from_family("bernoulli", {"p": 0.0}),
+    "bernoulli-half": pmf_from_family("bernoulli", {"p": 0.5}),
+    "bernoulli-1": pmf_from_family("bernoulli", {"p": 1.0}),
+    "geometric": TestBoundLogPgf.GEOMETRIC,
+    "poisson": pmf_from_family("poisson", {"lambda": 0.6}, truncation_K=40),
+    "explicit-01": BERN,
+    "explicit-12": G_HALF,
+    "explicit-wide": TestBoundLogPgf.WIDE,
+    "explicit-gap": pmf_from_dict({0: 0.6, 1: 0.0, 2: 0.4}),
+}
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+class TestBoundKernel:
+    """The kernel's f, f' and tilted mean against the per-call references."""
+
+    @staticmethod
+    def thetas():
+        # TestBoundLogPgf's grid, with the infinite ends
+        thetas = [float(t) for t in np.linspace(-700.0, 720.0, 5681)]
+        thetas += [0.0, -0.0, 708.0, math.nextafter(708.0, math.inf)]
+        edge = -math.log(0.3)
+        thetas += [math.nextafter(edge, -math.inf), edge,
+                   math.nextafter(edge, math.inf)]
+        for cross in (700.0 / 118.0, 709.78 / 118.0):
+            thetas += [float(t) for t in np.linspace(cross - 0.01, cross + 0.01,
+                                                     201)]
+            thetas += [math.nextafter(cross, -math.inf), cross,
+                       math.nextafter(cross, math.inf)]
+        return thetas + [-math.inf, math.inf]
+
+    @staticmethod
+    def us():
+        us = [0.0, -0.0, 1.0, math.inf]
+        us += [math.exp(t) for t in np.linspace(-700.0, 709.0, 2821)]
+        radius = 1.0 / 0.3                       # the geometric law's radius
+        switch = 1.0 + 709.0 / 0.6               # Poisson's exp(z) cut, z = 709
+        # and the tangencies u f'(u) = f(u): geometric, Poisson and the gap law
+        for u in (radius, switch, 0.5 / 0.3, 1.0 / 0.6, math.sqrt(1.5)):
+            us += [math.nextafter(u, -math.inf), u, math.nextafter(u, math.inf)]
+        return us
+
+    @pytest.mark.parametrize("name", KERNEL_LAWS)
+    def test_pgf_and_derivative_match(self, name):
+        pmf = KERNEL_LAWS[name]
+        kernel = pmf.kernel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad = [u for u in self.us()
+                   if bits(kernel.pgf(u)) != bits(reference_pgf(pmf, u))
+                   or bits(kernel.dpgf(u)) != bits(reference_dpgf(pmf, u))]
+        assert not bad, f"{len(bad)} mismatches, first at u={bad[0]!r}"
+
+    @pytest.mark.parametrize("name", KERNEL_LAWS)
+    def test_tilted_mean_matches(self, name):
+        pmf = KERNEL_LAWS[name]
+        tilted = pmf.kernel.cgf.dfn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad = [t for t in self.thetas()
+                   if bits(tilted(t)) != bits(reference_tilted_mean(pmf, t))]
+        assert not bad, f"{len(bad)} mismatches, first at theta={bad[0]!r}"
+
+    def test_poisson_switch_is_in_the_grid(self):
+        # the u grid straddles z = lam (u - 1) = 709, where f turns infinite
+        pgf = KERNEL_LAWS["poisson"].kernel.pgf
+        values = [pgf(u) for u in self.us() if 1000.0 < u < 1400.0]
+        assert any(math.isinf(v) for v in values)
+        assert any(math.isfinite(v) and v > 1e307 for v in values)
 
 
 class TestProgenyRates:
