@@ -92,12 +92,12 @@ class Pmf:
             raise ParameterError("support points must be nonnegative integers")
         if np.any(np.diff(support) <= 0):
             raise ParameterError("support points must be distinct and increasing")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise ParameterError("probabilities must lie in [0, 1]")
-        if self.truncation_deficit < 0.0:
+        if not self.truncation_deficit >= 0.0:
             raise ParameterError("truncation_deficit must be nonnegative")
         total = float(probs.sum()) + self.truncation_deficit
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ParameterError(
                 f"mass check failed: sum(probs) + deficit = {total!r} is not 1 "
                 f"within {MASS_TOL}"

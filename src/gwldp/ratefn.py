@@ -10,9 +10,9 @@ for most rates:
   mean-initial and random-start rates, solved by its Fenchel dual (one
   conjugate of y*Lambda_f + Lambda_g);
 * direct numerical conjugates of the relevant cgf, which serve as independent
-  oracles for the closed forms; the joint-rate oracle and the ratio-estimator
-  contraction add a one-dimensional minimization, by Brent's method
-  (``golden_min``: golden section with safeguarded parabolic steps).
+  oracles for the closed forms; the ratio-estimator contraction adds a
+  one-dimensional minimization, by Brent's method (``golden_min``: golden
+  section with safeguarded parabolic steps).
 
 The conjugate solver brackets the root of Lambda'(theta) = x by exponential
 expansion and bisects the exact derivative: e^theta f'(e^theta)/f(e^theta)
@@ -168,26 +168,25 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
 # conjugate solver
 # ---------------------------------------------------------------------------
 
-def _conjugate_raw(fn, dfn, x: float, support_min: float, support_max: float,
-                   log_mass_min: float, log_mass_max: float | None,
-                   theta_tol: float = THETA_TOL) -> tuple[float, float | str]:
-    """sup over theta of theta*x - fn(theta) for a convex cgf-like fn.
+def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
+    """sup over theta of theta*x - Lambda(theta) for a cgf with Lambda(0) = 0.
 
-    The optimizing theta is the root of dfn(theta) = x, dfn being fn's exact
-    derivative, bracketed and then bisected to theta_tol.  Returns the raw
-    supremum (which may be negative for shifted cgfs) plus that theta or a
-    boundary marker.
+    The optimizing theta is the root of Lambda'(theta) = x, Lambda' being the
+    cgf's exact derivative, bracketed and then bisected to THETA_TOL.  Returns
+    the supremum, nonnegative up to rounding, plus that theta or a boundary
+    marker.
     """
-    if x < support_min:
+    fn, dfn = cgf.fn, cgf.dfn
+    if x < cgf.support_min:
         return math.inf, "below_support"
-    if x == support_min:
-        return -log_mass_min, "support_min"
-    if math.isfinite(support_max):
-        if x > support_max:
+    if x == cgf.support_min:
+        return -cgf.log_mass_min, "support_min"
+    if math.isfinite(cgf.support_max):
+        if x > cgf.support_max:
             return math.inf, "above_support"
-        if x == support_max:
-            assert log_mass_max is not None
-            return -log_mass_max, "support_max"
+        if x == cgf.support_max:
+            assert cgf.log_mass_max is not None
+            return -cgf.log_mass_max, "support_max"
 
     # ---- upper bracket end: dfn must reach x; each end short of it is a lo
     lo, hi, edge = -1.0, 1.0, None
@@ -226,7 +225,7 @@ def _conjugate_raw(fn, dfn, x: float, support_min: float, support_max: float,
                 return lo * x - fn(lo), "theta_cap"
 
     # ---- bisection on the monotone derivative
-    while hi - lo > theta_tol:
+    while hi - lo > THETA_TOL:
         mid = 0.5 * (lo + hi)
         if dfn(mid) < x:
             lo = mid
@@ -241,8 +240,7 @@ def legendre(cgf: CgfEvaluator, x: float) -> RateValue:
 
     A genuine rate value: nonnegative, zero exactly at the mean of the law.
     """
-    value, argmax = _conjugate_raw(cgf.fn, cgf.dfn, x, cgf.support_min, cgf.support_max,
-                                   cgf.log_mass_min, cgf.log_mass_max)
+    value, argmax = _conjugate_raw(cgf, x)
     return RateValue(_rate_value(cgf.dfn, x, value, argmax), argmax, route="direct")
 
 
@@ -393,17 +391,14 @@ def rate_bivariate(model: ProgenyModel, y: float, z: float) -> RateValue:
     return RateValue(y * part_f.value + part_g.value, None, route="closed")
 
 
-def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
-                          tol: float = GOLDEN_TOL) -> RateValue:
-    """Joint rate by direct two-variable maximization of the exact joint cgf.
+def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float) -> RateValue:
+    """Joint rate as the conjugate of the exact joint cgf log g(e^gamma G(e^beta)).
 
-    The joint cgf is log g(e^gamma * G(e^beta)); the inner supremum over gamma
-    is solved by the generic conjugate machinery on the scaled law, the outer
-    concave problem over beta by Brent's method (golden_min) on a bracket
-    whose left end doubles while the maximum sits on it.  Past the progeny
-    domain's edge the outer objective is -inf, so golden_min takes golden
-    steps there.  This route never composes I_f and I_g, so it cross-checks the
-    closed form.
+    For fixed beta the supremum over gamma is a shifted conjugate of Lambda_g,
+    I_g(z) - z*log G(e^beta), so the joint supremum is z*Lambda_Y*(y/z) + I_g(z),
+    Lambda_Y* being the direct conjugate of log G(e^beta) (rate_progeny_direct).
+    ``argmax_theta`` is that conjugate's beta or marker.  This route never
+    composes I_f, so it cross-checks the closed form.
     """
     _require_bivariate_hypotheses(model)
     f, g = model.f, model.g
@@ -414,37 +409,11 @@ def rate_bivariate_oracle(model: ProgenyModel, y: float, z: float,
         return RateValue(math.inf, "outside_cone", route="oracle")
 
     cg = cgf_of_pmf(g)
-    log_g, r_min, r_max, log_q_max = cg.fn, cg.support_min, cg.support_max, cg.log_mass_max
-    if z < r_min or z > r_max:
+    if z < cg.support_min or z > cg.support_max:
         return RateValue(math.inf, "outside_support", route="oracle")
-
-    def outer(beta: float) -> float:
-        c = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
-        if not math.isfinite(c) or c <= 0.0:
-            return -math.inf
-        log_c = math.log(c)
-        inner, _ = _conjugate_raw(
-            lambda gamma: log_g(gamma + log_c),
-            lambda gamma: cg.dfn(gamma + log_c), z,
-            support_min=r_min, support_max=r_max,
-            log_mass_min=cg.log_mass_min + r_min * log_c,
-            log_mass_max=None if log_q_max is None else log_q_max + r_max * log_c,
-        )
-        return beta * y + inner
-
-    right = min(_progeny_edge(f), THETA_CAP)
-    left = -48.0
-    marker: float | str
-    while True:
-        b_star, neg_val = golden_min(lambda b: -outer(b), left, right, tol=tol)
-        if b_star > left + 1e-5:
-            marker = b_star
-            break
-        if left <= -THETA_CAP:
-            marker = "theta_cap"
-            break
-        left = max(2.0 * left, -THETA_CAP)
-    return RateValue(_nonneg(-neg_val), marker, route="oracle")
+    progeny = rate_progeny_direct(f, y / z)
+    return RateValue(z * progeny.value + rate_initial(g, z).value,
+                     progeny.argmax_theta, route="oracle")
 
 
 def rate_estimator_ratio(model: ProgenyModel, x: float) -> RateValue:
@@ -492,25 +461,25 @@ def _min_bivariate_over_z(model: ProgenyModel, y: float, route: str) -> RateValu
     log_f, log_g, dlog_f, dlog_g = cf.fn, cg.fn, cf.dfn, cg.dfn
     log_mass_max = (None if cf.log_mass_max is None or cg.log_mass_max is None
                     else y * cf.log_mass_max + cg.log_mass_max)
-
-    def dual_slope(t: float) -> float:
-        return y * dlog_f(t) + dlog_g(t)
-
-    value, theta = _conjugate_raw(
-        lambda t: y * log_f(t) + log_g(t), dual_slope,
-        y, support_min=y * cf.support_min + cg.support_min,
+    dual = CgfEvaluator(
+        fn=lambda t: y * log_f(t) + log_g(t),
+        dfn=lambda t: y * dlog_f(t) + dlog_g(t),
+        mean=y * cf.mean + cg.mean,
+        theta_max=min(cf.theta_max, cg.theta_max),
+        support_min=y * cf.support_min + cg.support_min,
         support_max=y * cf.support_max + cg.support_max,
         log_mass_min=y * cf.log_mass_min + cg.log_mass_min,
         log_mass_max=log_mass_max,
     )
-    if math.isinf(value):
-        return RateValue(value, None, route=route)
+    rate = legendre(dual, y)
+    if math.isinf(rate.value):
+        return RateValue(rate.value, None, route=route)
+    theta = rate.argmax_theta
     if isinstance(theta, float):
         z_star = dlog_g(theta)
     else:   # a boundary marker: the end of r_min <= z <= min(y, r_max) it points to
-        z_star = cg.support_min if y < y * cf.mean + cg.mean else min(y, cg.support_max)
-    return RateValue(_rate_value(dual_slope, y, value, theta), None, route=route,
-                     argmin_z=z_star)
+        z_star = cg.support_min if y < dual.mean else min(y, cg.support_max)
+    return RateValue(rate.value, None, route=route, argmin_z=z_star)
 
 
 def rate_estimator_meaninit(model: ProgenyModel, x: float) -> RateValue:
@@ -545,16 +514,18 @@ def rate_progeny_marginal(model: ProgenyModel, y: float) -> RateValue:
     return _min_bivariate_over_z(model, y, "closed")
 
 
-def ratio_rate_via_contraction(model: ProgenyModel, x: float,
-                               tol: float = GOLDEN_TOL) -> RateValue:
+def ratio_rate_via_contraction(model: ProgenyModel, x: float) -> RateValue:
     """Ratio-estimator rate recomputed as inf over z of the joint rate.
 
-    Minimizes rate_bivariate(z/(1-x), z) over z; independent oracle for
-    rate_estimator_ratio, exercising the contraction along (y-z)/y = x.
+    Along (y-z)/y = x the joint rate is c*z + I_g(z) with c = I_f(x)/(1-x),
+    minimized over z by Brent's method (golden_min).  Independent oracle for
+    rate_estimator_ratio: it solves the contraction numerically where the
+    closed form reads -log g(e^-c), a numerical check of Fenchel duality for g.
     """
     prog.require_subcritical(model.f, model.g)
     if not 0.0 <= x < 1.0:
         return RateValue(math.inf, "outside_domain", route="oracle")
+    c = rate_offspring(model.f, x).value / (1.0 - x)
     cg = cgf_of_pmf(model.g)
     r_min = cg.support_min
     # an infinite support gets a generous cap: the convex objective grows
@@ -562,10 +533,10 @@ def ratio_rate_via_contraction(model: ProgenyModel, x: float,
     z_hi = cg.support_max if math.isfinite(cg.support_max) else r_min + 80.0
 
     def objective(z: float) -> float:
-        return rate_bivariate(model, z / (1.0 - x), z).value
+        return c * z + rate_initial(model.g, z).value
 
     # an end of the bracket replaces the search's minimum only when lower
-    z_star, v_star = min([golden_min(objective, r_min, z_hi, tol=tol)]
+    z_star, v_star = min([golden_min(objective, r_min, z_hi)]
                          + [(z, objective(z)) for z in (r_min, z_hi)],
                          key=lambda zv: zv[1])
     return RateValue(v_star, None, route="oracle", argmin_z=z_star)

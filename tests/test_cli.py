@@ -186,6 +186,13 @@ class TestConfigHandling:
         assert run(["rate", "--f", '{"family": "zeta", "params": {}}',
                     "--out", str(tmp_path)]) == 2
 
+    def test_nan_law_exit_two(self, tmp_path, capsys):
+        # lambda = 1e400 parses as inf and leaves a NaN table, a config error
+        spec = '{"family": "poisson", "params": {"lambda": 1e400}, "truncation_K": 5}'
+        with np.errstate(invalid="ignore"):
+            assert run(["rate", "--f", spec, "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_convergence_failure_exit_four(self, tmp_path, capsys, monkeypatch):
         def explode(cfg):
             raise ConvergenceError("synthetic")

@@ -51,6 +51,10 @@ class TestFamilies:
         ("geometric", {"a": 1.0}),
         ("poisson", {"lambda": 0.0}),
         ("poisson", {"lambda": -2.0}),
+        # lambda = inf leaves an all-NaN table (0 * log inf), which every
+        # validity test must reject
+        pytest.param("poisson", {"lambda": math.inf},
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ])
     def test_parameter_domain_errors(self, family, params):
         with pytest.raises(ParameterError):
@@ -71,6 +75,10 @@ class TestFamilies:
     def test_explicit_rejects_negative_support(self):
         with pytest.raises(ParameterError):
             pmf_from_dict({-1: 0.5, 1: 0.5})
+
+    def test_explicit_rejects_nan_probability(self):
+        with pytest.raises(ParameterError):
+            pmf_from_dict({0: math.nan, 1: 0.5})
 
     def test_rejects_a_table_without_positive_mass(self):
         # the mass check alone admits it when the deficit carries all of it,

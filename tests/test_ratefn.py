@@ -1047,7 +1047,8 @@ class TestGoldenMin:
 
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_infinite_at_one_end(self, side):
-        # the bivariate oracle's objective is +inf past the progeny domain
+        # an objective that is +inf on part of the bracket, as one defined
+        # through a cgf is past the cgf's domain edge
         def fn(b):
             if (b > 0.5) if side == "right" else (b < -40.0):
                 return math.inf
@@ -1068,28 +1069,18 @@ class TestGoldenMin:
         assert ratefn.golden_min(lambda t: t * t, 2.0, 2.0) == (2.0, 4.0)
 
     @pytest.mark.parametrize("family,param,K", F_LAWS)
-    @pytest.mark.parametrize("oracle", ["bivariate", "ratio"])
+    @pytest.mark.parametrize("oracle", [ratio_rate_via_contraction], ids=["ratio"])
     def test_oracles_match_golden_section(self, family, param, K, oracle,
                                           monkeypatch):
-        # both oracles on the rate-grid benchmark's pools, against the same
-        # oracle run with plain golden section; the objectives carry about
-        # 1e-16 of solver noise, hence the absolute floor
+        # each oracle that searches by golden_min, on the rate-grid benchmark's
+        # pool, against the same oracle run with plain golden section; the
+        # objective carries about 1e-16 of solver noise, hence the absolute floor
         model = build_model(family_law(family, param, K), G_HALF)
-        if oracle == "bivariate":
-            points = [(y, 1.1 + 0.8 * (i % 8 + 0.5) / 8)
-                      for i, y in enumerate(rate_grid_pool(2.0, 5.0))]
-
-            def call(p):
-                return rate_bivariate_oracle(model, *p).value
-        else:
-            points = rate_grid_pool(0.0, 0.9)
-
-            def call(p):
-                return ratio_rate_via_contraction(model, p).value
-        brent = [call(p) for p in points]
+        points = rate_grid_pool(0.0, 0.9)
+        brent = [oracle(model, p).value for p in points]
         monkeypatch.setattr(ratefn, "golden_min", golden_section_min)
         for p, got in zip(points, brent):
-            assert got == approx(call(p), rel=1e-12, abs=1e-15), p
+            assert got == approx(oracle(model, p).value, rel=1e-12, abs=1e-15), p
 
 
 @st.composite
@@ -1127,8 +1118,9 @@ def oracle_cases(draw):
 
 
 class TestOracleFuzz:
-    """Each golden_min oracle against its closed form, near criticality and
-    at tiny p_0: agreement within 1e-9 relative or a ConvergenceError."""
+    """The joint-rate oracle and the ratio contraction against their closed
+    forms, near criticality and at tiny p_0: agreement within 1e-9 relative or
+    a ConvergenceError."""
 
     @settings(max_examples=25)
     @given(case=oracle_cases())
@@ -1146,6 +1138,59 @@ class TestOracleFuzz:
                                      rel=1e-9)
 
 
+def brute_force_joint_rate(family, param, y, z):
+    """sup over (beta, gamma) of beta*y + gamma*z - Lambda at 30 digits, for
+    the joint cgf Lambda(beta, gamma) = log g(e^gamma G(e^beta)) with
+    g(s) = (s + s^2)/2.  Lambda is jointly convex, so the supremum sits where
+    both partial derivatives (by mpmath.diff) meet (y, z); findroot solves
+    that 2-D system from the origin, with no inner-supremum identity."""
+    with mpmath.workdps(30):
+        G = exact_progeny_pgf(family, param)
+
+        def lam(beta, gamma):
+            u = mpmath.exp(gamma) * G(mpmath.exp(beta))
+            return mpmath.log((u + u * u) / 2)
+
+        def stationarity(beta, gamma):
+            return [mpmath.diff(lam, (beta, gamma), (1, 0)) - y,
+                    mpmath.diff(lam, (beta, gamma), (0, 1)) - z]
+
+        beta, gamma = mpmath.findroot(stationarity, (mpmath.mpf(0), mpmath.mpf(0)))
+        return beta * y + gamma * z - lam(beta, gamma)
+
+
+class TestJointRateBruteForce:
+    """Both joint-rate routes against the joint supremum solved in two
+    variables, which checks the factorization of the joint cgf that the
+    oracle's one conjugate, z*Lambda_Y*(y/z) + I_g(z), rests on."""
+
+    POINTS = [(1.6, 1.4), (5.0, 1.8), (6.0, 1.1)]
+
+    @pytest.mark.parametrize("family,param,K", F_LAWS)
+    def test_both_routes_match(self, family, param, K):
+        model = build_model(family_law(family, param, K), G_HALF)
+        for y, z in self.POINTS:
+            exact = brute_force_joint_rate(family, param, y, z)
+            assert relative_error(rate_bivariate_oracle(model, y, z).value,
+                                  exact) <= 1e-12, (y, z)
+            assert relative_error(rate_bivariate(model, y, z).value,
+                                  exact) <= 1e-12, (y, z)
+
+    def test_oracle_never_composes_the_offspring_rate(self, monkeypatch):
+        models = [build_model(family_law(*law), G_HALF) for law in F_LAWS]
+        points = self.POINTS + [(3.0, 1.5), (2.0, 2.0), (0.0, 0.0), (1.0, 2.0)]
+        expected = [rate_bivariate_oracle(m, y, z) for m in models
+                    for y, z in points]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called a closed-form route")
+
+        for name in ("rate_offspring", "rate_progeny_closed", "rate_bivariate"):
+            monkeypatch.setattr(ratefn, name, refuse)
+        assert [rate_bivariate_oracle(m, y, z) for m in models
+                for y, z in points] == expected
+
+
 # ---------------------------------------------------------------------------
 # the exact derivative Lambda' and the solver that bisects it
 # ---------------------------------------------------------------------------
@@ -1155,10 +1200,10 @@ LAW_31 = pmf_from_dict({k: (k + 1) ** -2 / sum((j + 1) ** -2 for j in range(31))
                         for k in range(31)})
 
 
-def exact_progeny_cgf(family, param, g_table=None):
-    """log G(e^beta), or log g(G(e^beta)) for an initial law g_table, from the
-    closed forms of G at the working precision (Bernoulli and geometric in
-    a form without cancellation at small s, Poisson through Lambert W)."""
+def exact_progeny_pgf(family, param):
+    """G(s) from its closed form at the working precision (Bernoulli and
+    geometric in a form without cancellation at small s, Poisson through
+    Lambert W)."""
     a = mpmath.mpf(param)
 
     def G(s):
@@ -1167,7 +1212,13 @@ def exact_progeny_cgf(family, param, g_table=None):
         if family == "geometric":
             return 2 * (1 - a) * s / (1 + mpmath.sqrt(1 - 4 * a * (1 - a) * s))
         return -mpmath.re(mpmath.lambertw(-a * s * mpmath.exp(-a))) / a
+    return G
 
+
+def exact_progeny_cgf(family, param, g_table=None):
+    """log G(e^beta), or log g(G(e^beta)) for an initial law g_table, from
+    exact_progeny_pgf."""
+    G = exact_progeny_pgf(family, param)
     if g_table is None:
         return lambda b: mpmath.log(G(mpmath.exp(b)))
     pairs = [(mpmath.mpf(r), mpmath.mpf(q)) for r, q in g_table.items()]
