@@ -30,7 +30,8 @@ from . import offspring as off
 from . import progeny as prog
 from . import ratefn
 from .errors import (ConfigError, ConvergenceError, HypothesisError,
-                     ParameterError, PopulationCapError, TruncationError)
+                     ParameterError, PopulationCapError, TruncationError,
+                     whole_number)
 
 COMMANDS = ("rate", "progeny-pmf", "extinction", "compare", "simulate", "verify")
 RATE_TARGETS = ("offspring", "initial", "progeny", "estimator-ratio",
@@ -40,8 +41,8 @@ VERIFY_CHECKS = ("prop1", "prop2", "prop3_contraction", "prop4_bracket",
 
 _DEFAULT_F = {"family": "bernoulli", "params": {"p": 0.5}}
 _DEFAULT_G = {"family": "explicit", "params": {"probs": [[1, 0.5], [2, 0.5]]}}
-# rows per CSV write; writing a whole 1e5-row block at once raised the peak
-# RSS of `gwldp simulate` from 46 to 72 MB
+# rows per CSV write; joining each 1e5-row estimators.csv block whole raised
+# the peak RSS of `gwldp simulate` (1e5 trials, n = 10/20/40) from 50 to 67 MB
 _CHUNK_ROWS = 1 << 13
 
 
@@ -68,14 +69,13 @@ class RunConfig:
         lo, hi, points = self.grid
         if not lo < hi:
             raise ConfigError(f"grid lo must be below hi, got {lo}:{hi}")
-        if points < 2:
-            raise ConfigError(f"grid needs at least 2 points, got {points}")
+        self.grid = (lo, hi, whole_number("grid points", points, 2))
         if self.target not in RATE_TARGETS:
             raise ConfigError(f"unknown rate target {self.target!r}")
         if self.route not in ("closed", "direct"):
             raise ConfigError(f"unknown route {self.route!r}")
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+        self.seed = whole_number("seed", self.seed, 0)
+        self.k_max = whole_number("k_max", self.k_max, 1)
         unknown = set(self.checks) - set(VERIFY_CHECKS)
         if unknown:
             raise ConfigError(f"unknown verify checks: {sorted(unknown)}")
@@ -118,7 +118,7 @@ def _config_from_json(command: str, data: dict) -> RunConfig:
     if "grid" in data:
         g = data["grid"]
         try:
-            cfg.grid = (float(g["lo"]), float(g["hi"]), int(g["points"]))
+            cfg.grid = (float(g["lo"]), float(g["hi"]), g["points"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"grid field invalid: {exc!r}") from exc
     for key, attr in (("output_dir", "output_dir"), ("seed", "seed"),
@@ -130,11 +130,6 @@ def _config_from_json(command: str, data: dict) -> RunConfig:
         cfg.checks = tuple(data["checks"])
     if "scenario" in data:
         cfg.scenario = data["scenario"]
-    try:
-        cfg.seed = int(cfg.seed)
-        cfg.k_max = int(cfg.k_max)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed/k_max field invalid: {exc}") from exc
     return cfg
 
 
@@ -190,8 +185,6 @@ def _fmt_column(col) -> list[str] | np.ndarray:
                                       return_inverse=True)
         strings = np.array([_fmt(v) for v in col[first].tolist()], dtype=object)
         return strings[inverse]
-    if isinstance(col, range):  # integers, each printed as str(int)
-        return list(map(str, col))
     return [_fmt(v) for v in col]
 
 
@@ -213,6 +206,36 @@ def _write_csv(path: str, header: list[str], blocks,
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         if trailer is not None:
             fh.write(trailer + "\n")
+
+
+def _write_estimators(path: str, blocks) -> None:
+    """Write ``estimators.csv``, formatting each distinct (Y_sum, Z_sum) pair
+    of a block once: both estimators are functions of the pair alone, so a
+    row is its ``n,trial`` prefix plus its pair's ``,est_ratio,est_meaninit``
+    tail, and rows are joined ``_CHUNK_ROWS`` at a time.  Sorting y*span + z
+    (0 <= z < span) orders the pairs as (y, z) do; lexsort takes over where
+    that key could overflow int64.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("n,trial,est_ratio,est_meaninit\n")
+        for b in blocks:
+            span = int(b.z_sum.max()) + 1
+            order = (np.argsort(b.y_sum * span + b.z_sum)
+                     if (int(b.y_sum.max()) + 1) * span <= 1 << 63
+                     else np.lexsort((b.z_sum, b.y_sum)))
+            ys, zs = b.y_sum[order], b.z_sum[order]
+            first = np.r_[True, (ys[1:] != ys[:-1]) | (zs[1:] != zs[:-1])]
+            pair = np.empty_like(order)
+            pair[order] = np.cumsum(first) - 1
+            est = replace(b, y_sum=ys[first], z_sum=zs[first])
+            tails = np.array([f",{_fmt(r)},{_fmt(m)}\n" for r, m in zip(
+                est.est_ratio.tolist(), est.est_meaninit.tolist())], dtype=object)
+            for start in range(0, ys.size, _CHUNK_ROWS):
+                stop = min(start + _CHUNK_ROWS, ys.size)
+                cells = [f"{b.n},"] * (3 * (stop - start))
+                cells[1::3] = map(str, range(start, stop))
+                cells[2::3] = tails[pair[start:stop]].tolist()
+                fh.write("".join(cells))
 
 
 def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
@@ -301,10 +324,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     columns = [[getattr(rec, name) for rec in recs] for name in header]
     columns[1] = [t.label() for t in columns[1]]
     _write_csv(os.path.join(cfg.output_dir, "rates.csv"), header, [columns])
-    _write_csv(os.path.join(cfg.output_dir, "estimators.csv"),
-               ["n", "trial", "est_ratio", "est_meaninit"],
-               ((np.broadcast_to(b.n, b.y_sum.shape), range(b.y_sum.size),
-                 b.est_ratio, b.est_meaninit) for b in blocks))
+    _write_estimators(os.path.join(cfg.output_dir, "estimators.csv"), blocks)
     print(os.path.join(cfg.output_dir, "rates.csv"))
     print(os.path.join(cfg.output_dir, "estimators.csv"))
     return 0

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the whole-number check.
 
 The CLI maps these onto exit codes, so keep the hierarchy flat and stable.
 """
@@ -38,3 +38,14 @@ class PopulationCapError(GwldpError, RuntimeError):
 
 class ConfigError(GwldpError, ValueError):
     """A run configuration or scenario file failed to parse or validate."""
+
+
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an int, if it is a whole number (1e7 is, 2.9 is not)
+    at least ``minimum``; ConfigError otherwise, never a truncation."""
+    try:
+        if int(value) == value >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")

@@ -32,7 +32,7 @@ import numpy as np
 from . import offspring as off
 from . import progeny as prog
 from . import ratefn
-from .errors import ConfigError, HypothesisError, PopulationCapError
+from .errors import ConfigError, HypothesisError, PopulationCapError, whole_number
 from .offspring import Pmf
 from .progeny import ProgenyModel, build_model
 
@@ -112,15 +112,15 @@ class LdpScenario:
     population_cap: int = DEFAULT_POPULATION_CAP
 
     def __post_init__(self):
-        sched = tuple(int(n) for n in self.n_schedule)
-        if not sched or any(n < 1 for n in sched):
+        sched = tuple(whole_number("n_schedule entry", n, 1) for n in self.n_schedule)
+        if not sched:
             raise ConfigError("n_schedule must contain positive counts")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("n_schedule must be strictly increasing")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.population_cap < 1:
-            raise ConfigError("population_cap must be >= 1")
+        for name, minimum in (("trials", 1), ("master_seed", 0),
+                              ("population_cap", 1)):
+            object.__setattr__(self, name, whole_number(
+                name, getattr(self, name), minimum))
         object.__setattr__(self, "n_schedule", sched)
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
 
@@ -141,11 +141,10 @@ class LdpScenario:
                 f_spec=data["f"],
                 g_spec=data["g"],
                 n_schedule=tuple(data["n_schedule"]),
-                trials=int(data["trials"]),
+                trials=data["trials"],
                 thresholds=thresholds,
-                master_seed=int(data.get("master_seed", 0)),
-                population_cap=int(data.get("population_cap",
-                                            DEFAULT_POPULATION_CAP)),
+                master_seed=data.get("master_seed", 0),
+                population_cap=data.get("population_cap", DEFAULT_POPULATION_CAP),
             )
         except KeyError as exc:
             raise ConfigError(f"scenario is missing field {exc.args[0]!r}") from exc

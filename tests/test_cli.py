@@ -228,6 +228,51 @@ class TestConfigHandling:
                     "--out", str(tmp_path)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        {"n_schedule": [10.7, 20]}, {"trials": 2.9}, {"master_seed": 3.5},
+        {"master_seed": -1}, {"population_cap": 1e7 + 0.5}])
+    def test_malformed_scenario_integer_exit_two(self, tmp_path, capsys,
+                                                 fields):
+        # each was truncated by int() or, for a negative seed, escaped as a
+        # NumPy traceback from SeedSequence
+        assert self._simulate_with(tmp_path, **fields) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "whole number" in err
+
+    def test_fractional_config_seed_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 3.5}))
+        assert run(["rate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "seed must be a whole number" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "f": json.loads(BERN_F),
+            "g": {"family": "explicit", "params": {"probs": [[1, 1.0]]}},
+            "n_schedule": [5], "trials": 10}))
+        assert run(["simulate", "--config", str(path), "--seed", "-1",
+                    "--out", str(tmp_path)]) == 2
+        assert "seed must be a whole number >= 0" in capsys.readouterr().err
+
+    def test_integral_float_population_cap_accepted(self, tmp_path, capsys):
+        assert self._simulate_with(tmp_path, population_cap=1e7,
+                                   trials=10.0, n_schedule=[5.0]) == 0
+        scenario = mc.LdpScenario.from_json_dict(
+            {"f": json.loads(BERN_F), "g": json.loads(BERN_F),
+             "n_schedule": [5.0], "trials": 1e1, "population_cap": 1e7})
+        assert scenario.population_cap == 10 ** 7
+        assert all(type(v) is int for v in (scenario.population_cap,
+                                            scenario.trials,
+                                            *scenario.n_schedule))
+
+    def test_fractional_k_max_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_max": 12.5}))
+        assert run(["progeny-pmf", "--config", str(path),
+                    "--out", str(tmp_path)]) == 2
+        assert "k_max must be a whole number" in capsys.readouterr().err
+
     def test_non_integer_k_max_exit_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k_max": "big"}))
@@ -272,26 +317,102 @@ def _row_oracle(header, rows, trailer=None) -> bytes:
     return text.encode()
 
 
+def _estimator_rows(blocks):
+    return [(b.n, trial, r, m) for b in blocks
+            for trial, (r, m) in enumerate(zip(b.est_ratio, b.est_meaninit))]
+
+
+EST_HEADER = ["n", "trial", "est_ratio", "est_meaninit"]
+# four offspring points and three initial ones: both draws take the
+# multinomial branch of the sampler, where Bernoulli(1/2) takes the binomial
+MULTI_LAWS = {
+    "f": {"family": "explicit",
+          "params": {"probs": [[0, 0.6], [1, 0.2], [2, 0.1], [3, 0.1]]}},
+    "g": {"family": "explicit",
+          "params": {"probs": [[1, 0.5], [2, 0.3], [4, 0.2]]}},
+    "n_schedule": [2, 5, 9],
+}
+
+
 class TestCsvWriter:
     def test_simulate_bytes_match_row_oracle(self, tmp_path, capsys):
+        for case, laws in (("two_point", {}), ("multinomial", MULTI_LAWS)):
+            out = tmp_path / case
+            out.mkdir()
+            cfg = TestSimulate().scenario_file(out)
+            data = dict(json.loads(cfg.read_text()), **laws)
+            cfg.write_text(json.dumps(data))
+            assert run(["simulate", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+            scenario = mc.LdpScenario.from_json_dict(data)
+            blocks = mc.replicate(scenario)
+            assert (out / "estimators.csv").read_bytes() == _row_oracle(
+                EST_HEADER, _estimator_rows(blocks))
+            rate_rows = [(r.n, r.threshold.label(), r.hits, r.trials,
+                          r.rate_estimate, r.ci_halfwidth, r.reference_rate,
+                          r.censored)
+                         for t in scenario.thresholds
+                         for r in mc.empirical_rate(scenario, t, blocks=blocks)]
+            assert (out / "rates.csv").read_bytes() == _row_oracle(
+                ["n", "threshold", "hits", "trials", "rate_estimate",
+                 "ci_halfwidth", "reference_rate", "censored"], rate_rows)
+
+    def test_estimators_match_row_oracle_on_synthetic_blocks(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(11)
+        big = 2 ** 62
+        # (2,1) and (4,2) share est_ratio 0.5 but not est_meaninit; (6,2)
+        # and (6,3) share est_meaninit but not est_ratio
+        shared = [(2, 1), (4, 2), (6, 2), (6, 3), (1, 1)]
+        near_edge = [(big + 1, 3), (big + 1, big), (big, 3),
+                     (big - 7, 1), (2 ** 63 - 1, 5)]
+        at_key_bound = [(2 ** 61 - 1, 3), (2 ** 61 - 2, 1), (2 ** 61 - 1, 1)]
+        cases = [(3, shared, 23), (5, shared, 15), (3, near_edge, 22),
+                 (40, at_key_bound, 9), (7, shared[:1], 1)]
+        blocks = []
+        for n, pairs, size in cases:
+            y, z = np.array(pairs, dtype=np.int64)[
+                rng.integers(0, len(pairs), size)].T
+            blocks.append(mc.ReplicationBlock(n, y.copy(), z.copy(), 1.75))
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+        path = tmp_path / "estimators.csv"
+        cli._write_estimators(str(path), blocks)
+        monkeypatch.setattr(cli, "_fmt", fmt)
+        assert path.read_bytes() == _row_oracle(EST_HEADER,
+                                                _estimator_rows(blocks))
+        distinct = sum(len(set(zip(b.y_sum.tolist(), b.z_sum.tolist())))
+                       for b in blocks)
+        assert len(calls) <= 2 * distinct
+
+    def test_estimators_format_budget(self, tmp_path, capsys, monkeypatch):
+        """simulate formats at most 2 values per distinct (Y_sum, Z_sum) pair
+        and block; a writer formatting per row or per 64-row chunk makes
+        hundreds of calls more, and one that bypasses _write_estimators is
+        not counted and fails too."""
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 64)
+        calls, budget = [], []
+        fmt, write = cli._fmt, cli._write_estimators
+
+        def counted_write(path, blocks):
+            blocks = list(blocks)
+            budget.append(2 * sum(
+                len(set(zip(b.y_sum.tolist(), b.z_sum.tolist())))
+                for b in blocks))
+            monkeypatch.setattr(cli, "_fmt",
+                                lambda v: calls.append(v) or fmt(v))
+            try:
+                write(path, blocks)
+            finally:
+                monkeypatch.setattr(cli, "_fmt", fmt)
+
+        monkeypatch.setattr(cli, "_write_estimators", counted_write)
         cfg = TestSimulate().scenario_file(tmp_path)
         assert run(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path)]) == 0
-        scenario = mc.LdpScenario.from_json_dict(json.loads(cfg.read_text()))
-        blocks = mc.replicate(scenario)
-        est_rows = [(b.n, trial, r, m) for b in blocks
-                    for trial, (r, m) in enumerate(zip(b.est_ratio,
-                                                       b.est_meaninit))]
-        assert (tmp_path / "estimators.csv").read_bytes() == _row_oracle(
-            ["n", "trial", "est_ratio", "est_meaninit"], est_rows)
-        rate_rows = [(r.n, r.threshold.label(), r.hits, r.trials,
-                      r.rate_estimate, r.ci_halfwidth, r.reference_rate,
-                      r.censored)
-                     for t in scenario.thresholds
-                     for r in mc.empirical_rate(scenario, t, blocks=blocks)]
-        assert (tmp_path / "rates.csv").read_bytes() == _row_oracle(
-            ["n", "threshold", "hits", "trials", "rate_estimate",
-             "ci_halfwidth", "reference_rate", "censored"], rate_rows)
+        assert budget and 0 < len(calls) <= budget[0]
 
     def test_edge_values_match_row_oracle(self, tmp_path):
         rng = np.random.default_rng(5)
