@@ -212,26 +212,21 @@ def _write_estimators(path: str, blocks) -> None:
     """Write ``estimators.csv``, formatting each distinct (Y_sum, Z_sum) pair
     of a block once: both estimators are functions of the pair alone, so a
     row is its ``n,trial`` prefix plus its pair's ``,est_ratio,est_meaninit``
-    tail, and rows are joined ``_CHUNK_ROWS`` at a time.  Sorting y*span + z
-    (0 <= z < span) orders the pairs as (y, z) do; lexsort takes over where
-    that key could overflow int64.
+    tail, and rows are joined ``_CHUNK_ROWS`` at a time.  Pairs are keyed
+    by their dense ranks, ry * (distinct z) + rz, which stays below rows**2
+    and so fits int64 for any block of up to 3e9 rows, whatever the sums.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,trial,est_ratio,est_meaninit\n")
         for b in blocks:
-            span = int(b.z_sum.max()) + 1
-            order = (np.argsort(b.y_sum * span + b.z_sum)
-                     if (int(b.y_sum.max()) + 1) * span <= 1 << 63
-                     else np.lexsort((b.z_sum, b.y_sum)))
-            ys, zs = b.y_sum[order], b.z_sum[order]
-            first = np.r_[True, (ys[1:] != ys[:-1]) | (zs[1:] != zs[:-1])]
-            pair = np.empty_like(order)
-            pair[order] = np.cumsum(first) - 1
-            est = replace(b, y_sum=ys[first], z_sum=zs[first])
+            uy, ry = np.unique(b.y_sum, return_inverse=True)
+            uz, rz = np.unique(b.z_sum, return_inverse=True)
+            keys, pair = np.unique(ry * uz.size + rz, return_inverse=True)
+            est = replace(b, y_sum=uy[keys // uz.size], z_sum=uz[keys % uz.size])
             tails = np.array([f",{_fmt(r)},{_fmt(m)}\n" for r, m in zip(
                 est.est_ratio.tolist(), est.est_meaninit.tolist())], dtype=object)
-            for start in range(0, ys.size, _CHUNK_ROWS):
-                stop = min(start + _CHUNK_ROWS, ys.size)
+            for start in range(0, pair.size, _CHUNK_ROWS):
+                stop = min(start + _CHUNK_ROWS, pair.size)
                 cells = [f"{b.n},"] * (3 * (stop - start))
                 cells[1::3] = map(str, range(start, stop))
                 cells[2::3] = tails[pair[start:stop]].tolist()

@@ -41,10 +41,10 @@ class ConfigError(GwldpError, ValueError):
 
 
 def whole_number(name: str, value, minimum: int) -> int:
-    """``value`` as an int, if it is a whole number (1e7 is, 2.9 is not)
-    at least ``minimum``; ConfigError otherwise, never a truncation."""
+    """``value`` as an int, if it is a whole number (1e7 is, 2.9 and true
+    are not) at least ``minimum``; ConfigError otherwise, never a truncation."""
     try:
-        if int(value) == value >= minimum:
+        if not isinstance(value, bool) and int(value) == value >= minimum:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
