@@ -15,14 +15,14 @@ for most rates:
   section with safeguarded parabolic steps).
 
 The conjugate solver brackets the root of Lambda'(theta) = x by exponential
-expansion and bisects the exact derivative: e^theta f'(e^theta)/f(e^theta)
-for a law, 1/(1 - s f'(G(s))) at s = e^beta for the total progeny (from
-G = s*f(G)).  It finds domain edges through infinite evaluations (the progeny
-cgf's edge is also exact, from the tangency u f'(u) = f(u)), takes a supremum
-still rising at an edge at the last finite point, and reports brackets beyond
-|theta| = 700, where exp overflows, as capped values with a saturation marker.
-A law's log-pgf and its derivative are read from its kernel, bound once when
-the law is built (``offspring.LawKernel``).
+expansion and takes Illinois steps with a bisection safeguard on the exact
+derivative: e^theta f'(e^theta)/f(e^theta) for a law, 1/(1 - s f'(G(s))) at
+s = e^beta for the total progeny (from G = s*f(G)).  It finds domain edges
+through infinite evaluations (the progeny cgf's edge is also exact, from the
+tangency u f'(u) = f(u)), takes a supremum still rising at an edge at the last
+finite point, and reports brackets beyond |theta| = 700, where exp overflows,
+as capped values with a saturation marker.  Each law's log-pgf and derivative
+come from its kernel, bound once at construction (``offspring.LawKernel``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .offspring import CgfEvaluator, Pmf
 from .progeny import ProgenyModel
 
 THETA_CAP = 700.0       # |theta| beyond which exp(theta) is numerically unusable
-THETA_TOL = 1e-11       # bisection tolerance on the dual variable
+THETA_TOL = 1e-11       # bracket width at which the root search on theta stops
 GOLDEN_TOL = 1e-9       # interval tolerance for 1-D minimizations (golden_min)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction, 1 - 1/phi
@@ -85,13 +85,14 @@ def _progeny_edge(f: Pmf, u_cap: float = math.inf) -> float:
     """
     pgf, dpgf, u_star = f.kernel.pgf, f.kernel.dpgf, f.kernel.u_star
     if u_star is None:
-        # u f'(u) - f(u) = sum (h-1) p_h u^h rises on u > 0 and is negative at
-        # u = 1 (mu_f < 1): double past its sign change, then bisect to an ulp
-        def rising(u: float) -> bool:
-            return u * dpgf(u) >= pgf(u)
-        u_star, hi = 1.0, math.inf
-        while u_star < (mid := min(2.0 * u_star, 0.5 * (u_star + hi))) < hi:
-            u_star, hi = (u_star, mid) if rising(mid) else (mid, hi)
+        # u f'(u) - f(u) = sum (h-1) p_h u^h rises on u > 0 from mu_f - 1 < 0
+        # at 1: double past its sign change, then Illinois to THETA_TOL relative
+        def excess(u: float) -> float:
+            return u * dpgf(u) - pgf(u)
+        lo, e_lo, hi = 1.0, excess(1.0), 2.0
+        while (e_hi := excess(hi)) < 0.0:
+            lo, e_lo, hi = hi, e_hi, 2.0 * hi
+        u_star = _illinois(excess, lo, hi, e_lo, e_hi, THETA_TOL * hi)
     u = min(u_star, u_cap)
     if math.isinf(u):
         return -_safe_log(f.prob(1))
@@ -168,13 +169,39 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
 # conjugate solver
 # ---------------------------------------------------------------------------
 
+def _illinois(h, lo: float, hi: float, h_lo: float, h_hi: float,
+              tol: float) -> float:
+    """Midpoint of [lo, hi], h(lo) <= 0 <= h(hi), shrunk to width tol around
+    the root of a rising h by Illinois steps (Dowell & Jarratt, BIT 11, 1971):
+    regula falsi that halves the value kept at one end when two secant steps
+    running move the other, each step at least tol/2 inside the bracket.  A
+    step bisects when an end value is not finite, the secant point leaves the
+    open bracket, or the two steps before it each failed to halve the bracket."""
+    side = slow = 0     # the end the last secant step moved; slow steps running
+    while (width := hi - lo) > tol:
+        t = mid = 0.5 * (lo + hi)
+        if slow < 2 and -math.inf < h_lo < 0.0 < h_hi < math.inf:
+            secant = lo - h_lo * width / (h_hi - h_lo)
+            if lo < secant < hi:
+                t = min(max(secant, lo + 0.5 * tol), hi - 0.5 * tol)
+        if (h_t := h(t)) < 0.0:
+            lo, h_lo, moved = t, h_t, -1
+        else:
+            hi, h_hi, moved = t, h_t, 1
+        if t != mid and moved == side:
+            h_lo, h_hi = (h_lo, 0.5 * h_hi) if moved < 0 else (0.5 * h_lo, h_hi)
+        side = side if t == mid else moved
+        slow = 0 if t == mid or hi - lo <= 0.5 * width else slow + 1
+    return 0.5 * (lo + hi)
+
+
 def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
     """sup over theta of theta*x - Lambda(theta) for a cgf with Lambda(0) = 0.
 
     The optimizing theta is the root of Lambda'(theta) = x, Lambda' being the
-    cgf's exact derivative, bracketed and then bisected to THETA_TOL.  Returns
-    the supremum, nonnegative up to rounding, plus that theta or a boundary
-    marker.
+    cgf's exact derivative, bracketed and then narrowed to THETA_TOL by Illinois
+    steps with a bisection safeguard (``_illinois``).  Returns the supremum,
+    nonnegative up to rounding, plus that theta or a boundary marker.
     """
     fn, dfn = cgf.fn, cgf.dfn
     if x < cgf.support_min:
@@ -188,15 +215,15 @@ def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
             assert cgf.log_mass_max is not None
             return -cgf.log_mass_max, "support_max"
 
-    # ---- upper bracket end: dfn must reach x; each end short of it is a lo
+    # ---- upper bracket end: dfn must reach x; each end short of it is a lo.
+    # Past the domain edge fn is +inf too; at a steep interior point it is not
     lo, hi, edge = -1.0, 1.0, None
-    while not math.isfinite(fn(hi)):
+    while math.isinf(d := dfn(hi)) and math.isinf(fn(hi)):
         edge, hi = hi, 0.5 * hi
         if hi < 1e-300:
             raise HypothesisError("cgf is infinite on all of (0, 1e-300]")
-    d = dfn(hi)
     while d < x:
-        lo = hi
+        lo, d_lo = hi, d
         if edge is None:
             nxt = 2.0 * hi
             if nxt > THETA_CAP:
@@ -211,27 +238,20 @@ def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
             return hi * x - fn(hi), "theta_max"
         else:
             nxt = 0.5 * (hi + edge)
-        if math.isfinite(fn(nxt)):
-            hi, d = nxt, dfn(nxt)
-        else:
+        if math.isinf(d_nxt := dfn(nxt)) and math.isinf(fn(nxt)):
             edge = nxt
+        else:
+            hi, d = nxt, d_nxt
 
     # ---- lower bracket end, unless found above; each end past x is a hi
     if lo < 0.0:
-        while dfn(lo) > x:
-            hi, lo = lo, 2.0 * lo
+        while (d_lo := dfn(lo)) > x:
+            hi, d, lo = lo, d_lo, 2.0 * lo
             if lo < -THETA_CAP:
                 lo = -THETA_CAP
                 return lo * x - fn(lo), "theta_cap"
 
-    # ---- bisection on the monotone derivative
-    while hi - lo > THETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if dfn(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
+    theta = _illinois(lambda t: dfn(t) - x, lo, hi, d_lo - x, d - x, THETA_TOL)
     return theta * x - fn(theta), theta
 
 

@@ -919,6 +919,20 @@ class TestProgenyEdge:
         assert ratefn.cgf_progeny_compound(model).theta_max < \
             cgf_progeny_unit(BERN).theta_max
 
+    @pytest.mark.parametrize("table", [{0: 0.6, 1: 0.2, 3: 0.15, 5: 0.05},
+                                       {0: 0.8, 2: 0.15, 12: 0.05}])
+    def test_explicit_tangency_matches_ulp_bisection(self, table):
+        # u* by doubling from u = 1 and then bisecting to an ulp; u/f(u) is
+        # stationary at u*, so Illinois steps to 1e-11 relative leave s*
+        # within 1e-15 relative
+        f = pmf_from_dict(table)
+        pgf, dpgf = f.kernel.pgf, f.kernel.dpgf
+        u, hi = 1.0, math.inf
+        while u < (mid := min(2.0 * u, 0.5 * (u + hi))) < hi:
+            u, hi = (u, mid) if mid * dpgf(mid) >= pgf(mid) else (mid, hi)
+        assert f.kernel.u_star is None
+        assert abs(cgf_progeny_unit(f).theta_max - math.log(u / pgf(u))) <= 1e-15
+
     @pytest.mark.parametrize("f", [
         pmf_from_family("geometric", {"a": 0.3}, truncation_K=40),
         pmf_from_family("poisson", {"lambda": 0.6}, truncation_K=40),
@@ -1192,7 +1206,7 @@ class TestJointRateBruteForce:
 
 
 # ---------------------------------------------------------------------------
-# the exact derivative Lambda' and the solver that bisects it
+# the exact derivative Lambda' and the solver's Illinois steps on it
 # ---------------------------------------------------------------------------
 
 EPS = 2.0 ** -52
@@ -1306,7 +1320,8 @@ class TestExactDerivative:
 
 class TestArgmaxTheta:
     """The returned theta is the root of Lambda'(theta) = x to 1e-10, against
-    a 40-digit root (the bisection stops at THETA_TOL = 1e-11)."""
+    a 40-digit root (the root search stops at a bracket of width THETA_TOL =
+    1e-11 and returns its midpoint)."""
 
     @pytest.mark.parametrize("law,xs", [
         (DERIVATIVE_LAWS["bernoulli-0.3"], [0.05, 0.3001, 0.5, 0.97]),
@@ -1369,11 +1384,12 @@ class TestThetaMaxBranch:
 
 
 class TestEvaluationBudget:
-    """rate_progeny_direct costs at most 50 cgf evaluations per point on
-    average, Lambda and Lambda' counted alike (central differences and the
-    value climb took about 165)."""
+    """rate_progeny_direct's cgf evaluations per point on average, Lambda and
+    Lambda' counted alike: central differences and the value climb took about
+    165, bisection about 43, Illinois steps 20."""
 
-    def test_direct_progeny(self, monkeypatch):
+    @staticmethod
+    def mean_calls(monkeypatch):
         calls = 0
 
         def counting(fn):
@@ -1394,7 +1410,13 @@ class TestEvaluationBudget:
         points = [(family_law(*law), y) for law in F_LAWS for y in (1.5, 3.0, 6.0)]
         for f, y in points:
             assert rate_progeny_direct(f, y).value > 0.0
-        assert calls / len(points) <= 50
+        return calls / len(points)
+
+    def test_direct_progeny(self, monkeypatch):
+        assert self.mean_calls(monkeypatch) <= 50
+
+    def test_direct_progeny_superlinear(self, monkeypatch):
+        assert self.mean_calls(monkeypatch) <= 21
 
 
 FUZZ_PARAMS = {"bernoulli": (0.01, 0.99), "geometric": (0.05, 0.5),
@@ -1432,3 +1454,167 @@ class TestOffspringRateFuzz:
         except ConvergenceError:
             return
         assert relative_error(got, exact_offspring_rate(family, param, x)) <= 1e-9
+
+
+class TestNearMeanGuard:
+    """At the offspring mean and 2^-54 off it the exact rates are 0 or below
+    about 1e-32, and every rate must stay at most 1e-30.  A stop rule relative
+    to |theta| resolves theta there, but theta*x - Lambda(theta) then keeps
+    the rounding of Lambda: such a variant returned 2e-16 for the geometric
+    mean-initial rate at the mean."""
+
+    @pytest.mark.parametrize("offset", [0.0, -2.0 ** -54, 2.0 ** -54])
+    @pytest.mark.parametrize("family,param,K", F_LAWS)
+    def test_rates_vanish(self, family, param, K, offset):
+        f = family_law(family, param, K)
+        model = build_model(f, G_HALF)
+        x = model.mu_f + offset
+        for rv in (rate_offspring(f, x), rate_estimator_ratio(model, x),
+                   rate_estimator_deterministic(f, model.mu_g, x),
+                   rate_estimator_meaninit(model, x)):
+            assert 0.0 <= rv.value <= 1e-30
+
+
+def bisection_conjugate(cgf, x):
+    """ratefn._conjugate_raw as it was before Illinois steps: the same bracket,
+    with fn probing every point for finiteness, then plain bisection of
+    Lambda' - x down to a bracket of width THETA_TOL."""
+    fn, dfn, cap = cgf.fn, cgf.dfn, ratefn.THETA_CAP
+    if x < cgf.support_min:
+        return math.inf, "below_support"
+    if x == cgf.support_min:
+        return -cgf.log_mass_min, "support_min"
+    if x > cgf.support_max:
+        return math.inf, "above_support"
+    if x == cgf.support_max:
+        return -cgf.log_mass_max, "support_max"
+    lo, hi, edge = -1.0, 1.0, None
+    while not math.isfinite(fn(hi)):
+        edge, hi = hi, 0.5 * hi
+    d = dfn(hi)
+    while d < x:
+        lo = hi
+        if edge is None:
+            nxt = 2.0 * hi
+            if nxt > cap:
+                t = cap
+                while math.isinf(lam := fn(t)) and t > hi:
+                    t = 0.5 * (hi + t)
+                return t * x - lam, "theta_cap"
+        elif edge - hi <= 1e-13 * max(1.0, abs(edge)):
+            return hi * x - fn(hi), "theta_max"
+        else:
+            nxt = 0.5 * (hi + edge)
+        if math.isfinite(fn(nxt)):
+            hi, d = nxt, dfn(nxt)
+        else:
+            edge = nxt
+    if lo < 0.0:
+        while dfn(lo) > x:
+            hi, lo = lo, 2.0 * lo
+            if lo < -cap:
+                return -cap * x - fn(-cap), "theta_cap"
+    while hi - lo > ratefn.THETA_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dfn(mid) < x else (lo, mid)
+    theta = 0.5 * (lo + hi)
+    return theta * x - fn(theta), theta
+
+
+def meaninit_dual(model, x):
+    """The (cgf, y) that rate_estimator_meaninit hands to the solver."""
+    seen, solve = [], ratefn._conjugate_raw
+
+    def record(cgf, y):
+        seen.append((cgf, y))
+        return solve(cgf, y)
+    ratefn._conjugate_raw = record
+    try:
+        rate_estimator_meaninit(model, x)
+    finally:
+        ratefn._conjugate_raw = solve
+    return seen[0]
+
+
+def away_from(draw, lo, hi, mean):
+    """A float in [lo, hi] at least 0.05 max(1, |mean|) from the mean.  Closer
+    in, the rate falls toward the rounding of Lambda (about 1e-16 absolute),
+    and two roots 1e-11 apart round theta*x - Lambda(theta) differently by
+    more than 1e-11 relative."""
+    x = draw(st.floats(lo, hi))
+    assume(abs(x - mean) >= 0.05 * max(1.0, abs(mean)))
+    return x
+
+
+@st.composite
+def conjugate_cases(draw):
+    """(cgf, x) for a law (Bernoulli, geometric with theta up to 1e-6 short of
+    its edge, Poisson, the 31-point table), for the compound progeny and the
+    mean-initial dual over those offspring laws, and for the markers: Poisson
+    at x from 1e-320 to 1e300 (theta_cap at both ends) and the truncated
+    quadratic cgf of TestThetaMaxBranch (theta_max)."""
+    kind = draw(st.sampled_from(["bernoulli", "geometric", "poisson",
+                                 "explicit-31", "compound", "meaninit-dual",
+                                 "poisson-far", "theta-max"]))
+    if kind == "poisson-far":
+        return cgf_of_pmf(POI_06), 10.0 ** draw(st.floats(-320.0, 300.0))
+    if kind == "theta-max":
+        return TestThetaMaxBranch.CGF, away_from(draw, -3.0, 3.0, 0.0)
+    if kind in ("bernoulli", "geometric", "poisson"):
+        param = draw(st.floats(*FUZZ_PARAMS[kind]))
+        law = family_law(kind, param, None if kind == "bernoulli" else 60)
+        cgf = cgf_of_pmf(law)
+        if kind == "geometric" and draw(st.booleans()):
+            delta = 10.0 ** -draw(st.floats(6.0, 10.0))
+            return cgf, math.exp(-delta) / -math.expm1(-delta)
+        top = 0.99 if kind == "bernoulli" else 20.0
+        return cgf, away_from(draw, 0.01, top, cgf.mean)
+    if kind == "explicit-31":
+        cgf = cgf_of_pmf(LAW_31)
+        return cgf, away_from(draw, 0.05, 29.9, cgf.mean)
+    f = family_law(*draw(st.sampled_from(F_LAWS)))
+    if kind == "compound":
+        model = build_model(f, draw(st.sampled_from([G_HALF, GEO_03])))
+        cgf = ratefn.cgf_progeny_compound(model)
+        return cgf, away_from(draw, cgf.support_min + 0.1, 40.0, cgf.mean)
+    model = build_model(f, draw(st.sampled_from([G_HALF, pmf_from_dict(G13)])))
+    return meaninit_dual(model, away_from(draw, 0.02, 0.95, model.mu_f))
+
+
+class TestIllinoisAgainstBisection:
+    """_conjugate_raw against bisection_conjugate: the same marker or two
+    roots within THETA_TOL, and values within 1e-11 relative."""
+
+    @settings(max_examples=200)
+    @given(case=conjugate_cases())
+    def test_matches_bisection(self, case):
+        cgf, x = case
+        value, theta = ratefn._conjugate_raw(cgf, x)
+        ref_value, ref_theta = bisection_conjugate(cgf, x)
+        if isinstance(ref_theta, str):
+            assert theta == ref_theta
+        else:
+            assert isinstance(theta, float)
+            assert abs(theta - ref_theta) <= 1e-11
+        assert value == approx(ref_value, rel=1e-11, abs=1e-300)
+
+
+class TestIllinoisSafeguard:
+    """_illinois on roots where h is flat, which regula falsi approaches from
+    one side in tiny steps: the fallback to bisection after two steps that
+    each fail to halve the bracket keeps it to three steps per halving
+    (without it, (t - 0.3)^15 took 523 steps where bisection takes 38)."""
+
+    @pytest.mark.parametrize("power", [3, 9, 15])
+    def test_flat_root(self, power):
+        calls = 0
+
+        def h(t):
+            nonlocal calls
+            calls += 1
+            return math.copysign(abs(t - 0.3) ** power, t - 0.3)
+
+        lo, hi, tol = -1.0, 1.0, ratefn.THETA_TOL
+        root = ratefn._illinois(h, lo, hi, h(lo), h(hi), tol)
+        assert abs(root - 0.3) <= tol
+        assert calls - 2 <= 3 * math.ceil(math.log2((hi - lo) / tol))
