@@ -173,17 +173,17 @@ def _illinois(h, lo: float, hi: float, h_lo: float, h_hi: float,
               tol: float) -> float:
     """Midpoint of [lo, hi], h(lo) <= 0 <= h(hi), shrunk to width tol around
     the root of a rising h by Illinois steps (Dowell & Jarratt, BIT 11, 1971):
-    regula falsi that halves the value kept at one end when two secant steps
-    running move the other, each step at least tol/2 inside the bracket.  A
-    step bisects when an end value is not finite, the secant point leaves the
-    open bracket, or the two steps before it each failed to halve the bracket."""
+    the value kept at one end halves when two secant steps move the other, and
+    secant points stay tol/16 inside, so once an end converges the next step
+    closes the bracket tightly on it.  A step bisects if an end value is not
+    finite, the secant leaves the open bracket or two steps failed to halve it."""
     side = slow = 0     # the end the last secant step moved; slow steps running
     while (width := hi - lo) > tol:
         t = mid = 0.5 * (lo + hi)
         if slow < 2 and -math.inf < h_lo < 0.0 < h_hi < math.inf:
             secant = lo - h_lo * width / (h_hi - h_lo)
             if lo < secant < hi:
-                t = min(max(secant, lo + 0.5 * tol), hi - 0.5 * tol)
+                t = min(max(secant, lo + tol / 16), hi - tol / 16)
         if (h_t := h(t)) < 0.0:
             lo, h_lo, moved = t, h_t, -1
         else:
