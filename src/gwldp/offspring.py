@@ -417,8 +417,8 @@ def _explicit_kernel(pmf: Pmf, ends: dict) -> LawKernel:
         else:
             with np.errstate(over="ignore"):
                 acc = float(np.dot(probs, np.exp(log_s * low)))
-        if not math.isfinite(acc):
-            return math.inf
+        if not math.isfinite(acc):   # anchored at the top no term overflows
+            return log_s * sup_max + math.log(np.dot(probs, np.exp(log_s * high)))
         return log_s * sup_min + math.log(acc)
 
     def tilted_mean(theta: float) -> float:

@@ -84,7 +84,9 @@ def two_point_rate_oracle(z):
 def reference_log_pgf(pmf, log_s):
     """log f(exp(log_s)) as computed per call, arrays rebuilt each time.
 
-    The bound evaluators of cgf_of_pmf must reproduce it bit for bit.
+    The bound evaluators of cgf_of_pmf must reproduce it bit for bit.  Where
+    the sum anchored at the bottom of an explicit support overflows, the sum
+    anchored at the top cannot, so Lambda stays finite wherever Lambda' is.
     """
     if log_s > 708.0:
         return math.inf
@@ -111,7 +113,8 @@ def reference_log_pgf(pmf, log_s):
     with np.errstate(over="ignore"):
         acc = float(np.dot(probs, np.exp(log_s * rel)))
     if not math.isfinite(acc):
-        return math.inf
+        top = np.exp(log_s * (sup - sup[-1]))
+        return log_s * float(sup[-1]) + math.log(np.dot(probs, top))
     return log_s * float(sup[0]) + math.log(acc)
 
 
@@ -1310,6 +1313,16 @@ class TestExactDerivative:
             d = dfn(theta)
             assert d >= 0.0, theta          # also rules out nan
 
+    @pytest.mark.parametrize("case", DERIVATIVE_CASES)
+    def test_finite_derivative_has_finite_cgf(self, case):
+        # the solver's bracket calls Lambda only where Lambda' is +inf, so
+        # Lambda must be finite wherever Lambda' is (the 31-point law's sum
+        # anchored at 0 overflows from theta = 23.7 on)
+        cgf = DERIVATIVE_CASES[case][0]()
+        thetas = derivative_grid(cgf.theta_max) + list(np.linspace(-700.0, 708.0, 705))
+        assert not [t for t in thetas
+                    if math.isfinite(cgf.dfn(t)) and not math.isfinite(cgf.fn(t))]
+
     @pytest.mark.parametrize("law", [G_HALF, LAW_31,
                                      pmf_from_dict({2: 0.3, 5: 0.7})])
     def test_explicit_limits_are_support_ends(self, law):
@@ -1618,3 +1631,21 @@ class TestIllinoisSafeguard:
         root = ratefn._illinois(h, lo, hi, h(lo), h(hi), tol)
         assert abs(root - 0.3) <= tol
         assert calls - 2 <= 3 * math.ceil(math.log2((hi - lo) / tol))
+
+
+class TestExplicitSupportTop:
+    """Within 1e-11 of the top of the 31-point law's support the root sits
+    past theta = 23.7, where a sum anchored at the bottom of the support
+    overflows: the rate must stay within 1e-12 of the 60-digit conjugate
+    (it approaches -log p_30 = 7.3462), with an interior theta."""
+
+    @pytest.mark.parametrize("gap", [1e-11, 1e-13, 4 * EPS * 30])
+    def test_rate_near_the_top(self, gap):
+        x = 30.0 - gap
+        rv = rate_offspring(LAW_31, x)
+        lam, dlam = law_cgf(LAW_31)
+        with mpmath.workdps(60):
+            root = mp_root(lambda t: dlam(t) - mpmath.mpf(x), 0, 60)
+            exact = root * x - lam(root)
+        assert isinstance(rv.argmax_theta, float)
+        assert rv.value == approx(float(exact), rel=1e-12)
