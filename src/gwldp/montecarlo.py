@@ -5,9 +5,12 @@ Y_sum and Z_sum.  By the branching property, given Z_sum = r the sum Y_sum
 is the total progeny of one Galton-Watson tree started from r ancestors,
 P(Y_sum = k | Z_sum = r) = (r/k) f^{*k}(k - r) (Dwass 1969), so each trial
 simulates a single tree.  A batch of trials advances generation by
-generation; each draw, of Z_sum and of every generation's size, is one
-multinomial split of a count over the law's support, so a generation costs
-O(trials x |supp f|) whatever its population.
+generation; each draw, of Z_sum and of every generation's size, is a sum of
+i.i.d. draws from one law, taken by the law's kernel in one step whatever
+the count: a single Poisson or negative binomial draw for the families
+closed under convolution, a multinomial split of the count over the table
+for any other law, so a generation costs O(trials) or O(trials x |supp f|)
+whatever its population.
 
 Reproducibility contract: all randomness derives from the scenario's master
 seed through fixed-purpose seed sequences keyed by (master_seed, purpose,
@@ -16,9 +19,9 @@ never on scheduling, so identical scenarios give identical outputs.  The
 (schedule index, chunk) units of one call therefore run concurrently, one
 thread per CPU the process may use: each unit draws from its own stream into
 its own slice of the output, so which thread runs which unit cannot change a
-bit.  Threads pay because NumPy's binomial sampler releases the GIL; its
-multinomial sampler holds it for its whole loop, so two-point laws, the
-paper's running example, draw through the binomial (see ``_sum_draws``).
+bit.  Threads pay where NumPy's samplers release the GIL: the binomial
+does, so two-point laws, the paper's running example, draw through it,
+while the multinomial holds it for its whole loop (see ``_sum_draws``).
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from .progeny import ProgenyModel, build_model
 
 DEFAULT_POPULATION_CAP = 10 ** 7
 # per-chunk element budget: trials_per_chunk * max(n, |supp f|, |supp g|)
-# stays within it, capping each multinomial buffer of one worker thread, so
-# a call holds up to one such buffer per CPU; fixed so that streams are
+# stays within it, capping the multinomial buffer a table law needs in one
+# worker thread (the convolution laws need one entry per trial), so a call
+# holds up to one such buffer per CPU; fixed so that streams are
 # scenario-determined
 _CHUNK_LINEAGES = 1 << 21
 _Z95 = 1.959963984540054
@@ -53,27 +57,14 @@ def _sum_draws(pmf: Pmf, counts: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
     """Per entry, the sum of ``counts[i]`` i.i.d. draws from ``pmf``.
 
-    One multinomial vector per entry splits its draws over the support
-    points, so the cost grows with the support, not with the counts.  The
-    truncated table is renormalized before sampling; the bias this
-    introduces is bounded by the recorded deficit (at most 1e-9 for laws
-    built from the family constructors).
-
-    A law on exactly two points draws the count at the lower point with
-    ``rng.binomial`` instead.  For two categories NumPy's multinomial draws
-    exactly that one binomial per entry, in entry order, so the sums and the
-    generator's state afterwards are identical; but the binomial releases
-    the GIL, so concurrent chunks overlap, while the multinomial holds it.
+    The law's kernel draws each sum in one step (``LawKernel.sum_draws``):
+    from the exact convolution law Poisson(lam c) or NegBin(c, 1 - a) for
+    the Poisson and geometric families, by a multinomial split of the count
+    over the renormalized table otherwise, one binomial for a two-point law.
+    Only a table that records a truncation deficit is biased, by at most
+    that deficit.
     """
-    probs = pmf.probs / pmf.probs.sum()
-    if pmf.support.size != 2:
-        return rng.multinomial(counts, probs) @ pmf.support
-    low = rng.binomial(counts, probs[0])
-    total = counts - low
-    total *= pmf.support[1]
-    low *= pmf.support[0]
-    total += low
-    return total
+    return pmf.kernel.sum_draws(counts, rng)
 
 
 @dataclass(frozen=True)
@@ -265,27 +256,31 @@ def _stream(scenario: LdpScenario, purpose: int, n_index: int,
     return np.random.default_rng(seq)
 
 
-def _replicate_sums(scenario: LdpScenario, model: ProgenyModel,
-                    purpose: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def _replicate_sums(arms: list[tuple[LdpScenario, ProgenyModel, int]]
+                    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per-trial sums of each (scenario, model, purpose) arm: one (n, y_sum,
+    z_sum) block per n of its schedule, arm after arm.  The seeded units of
+    all arms share one pool, so no thread idles while another arm has work."""
     # imported here: it loads logging, a few milliseconds that code which
     # never simulates should not pay when it imports gwldp
     from concurrent.futures import ThreadPoolExecutor
 
-    width = max(model.f.support.size, model.g.support.size)
     out, units = [], []
-    for n_index, n in enumerate(scenario.n_schedule):
-        trials_per_chunk = max(1, _CHUNK_LINEAGES // max(n, width))
-        y_sum = np.empty(scenario.trials, dtype=np.int64)
-        z_sum = np.empty(scenario.trials, dtype=np.int64)
-        starts = range(0, scenario.trials, trials_per_chunk)
-        for chunk, start in enumerate(starts):
-            stop = min(start + trials_per_chunk, scenario.trials)
-            units.append((n_index, n, chunk,
-                          y_sum[start:stop], z_sum[start:stop]))
-        out.append((n, y_sum, z_sum))
+    for scenario, model, purpose in arms:
+        width = max(model.f.support.size, model.g.support.size)
+        for n_index, n in enumerate(scenario.n_schedule):
+            trials_per_chunk = max(1, _CHUNK_LINEAGES // max(n, width))
+            y_sum = np.empty(scenario.trials, dtype=np.int64)
+            z_sum = np.empty(scenario.trials, dtype=np.int64)
+            starts = range(0, scenario.trials, trials_per_chunk)
+            for chunk, start in enumerate(starts):
+                stop = min(start + trials_per_chunk, scenario.trials)
+                units.append((scenario, model, purpose, n_index, n, chunk,
+                              y_sum[start:stop], z_sum[start:stop]))
+            out.append((n, y_sum, z_sum))
 
     def draw(unit) -> None:
-        n_index, n, chunk, y_part, z_part = unit
+        scenario, model, purpose, n_index, n, chunk, y_part, z_part = unit
         rng = _stream(scenario, purpose, n_index, chunk)
         z_part[:] = _sum_draws(
             model.g, np.full(z_part.size, n, dtype=np.int64), rng)
@@ -309,7 +304,7 @@ def replicate(scenario: LdpScenario) -> list[ReplicationBlock]:
     """
     model = scenario.model()
     prog.require_subcritical(model.f, model.g)
-    sums = _replicate_sums(scenario, model, _PURPOSE_REPLICATE)
+    sums = _replicate_sums([(scenario, model, _PURPOSE_REPLICATE)])
     return [ReplicationBlock(n, ys, zs, model.mu_g) for n, ys, zs in sums]
 
 
@@ -418,10 +413,11 @@ def estimator_tail_ratio(scenario: LdpScenario, eps: float
         master_seed=scenario.master_seed,
         population_cap=scenario.population_cap,
     )
-    det_model = det_scenario.model()
-    rand_sums = _replicate_sums(scenario, model, _PURPOSE_TAIL_RANDOM)
-    det_sums = _replicate_sums(det_scenario, det_model,
-                               _PURPOSE_TAIL_DETERMINISTIC)
+    sums = _replicate_sums([
+        (scenario, model, _PURPOSE_TAIL_RANDOM),
+        (det_scenario, det_scenario.model(), _PURPOSE_TAIL_DETERMINISTIC)])
+    n_count = len(scenario.n_schedule)
+    rand_sums, det_sums = sums[:n_count], sums[n_count:]
     rows = []
     for (n, y_rand, z_rand), (_, y_det, z_det) in zip(rand_sums, det_sums):
         est_rand = (y_rand - z_rand) / y_rand

@@ -4,9 +4,10 @@ A law is stored as an explicit table of (support point, probability) pairs.
 Infinite-support families (geometric, Poisson) are truncated at a caller-chosen
 index; the unrepresented mass is recorded in ``truncation_deficit``.  Every law
 binds its kernel once, at construction: f, f', the cgf log f(e^theta) and its
-derivative, the mean, the convergence domain and the support ends, from the
-family's exact closed forms where the law is tagged, so downstream transforms
-never inherit truncation bias.  No other module reads the family tag.
+derivative, the mean, the convergence domain, the support ends and a sampler
+of sums of i.i.d. draws, from the family's exact closed forms where the law is
+tagged, so neither the transforms nor the simulation downstream inherit
+truncation bias.  No other module reads the family tag.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class LawKernel:
     mean, theta_max = log(radius) and the positive-mass support ends, infinite
     for the geometric and Poisson families.  ``u_star`` is the tangency
     u f'(u) = f(u) where a closed form gives it (infinite for a linear f).
+    ``sum_draws(counts, rng)`` returns, per entry, the sum of ``counts[i]``
+    i.i.d. draws from the law, 0 for a zero count: one Poisson(lam * c) or
+    NegBin(c, 1 - a) draw for the families closed under convolution, one
+    split of the count over the table otherwise (``_table_draws``).
     """
 
     pgf: Callable[[float], float]
@@ -62,6 +67,7 @@ class LawKernel:
     cgf: CgfEvaluator
     radius: float
     u_star: float | None
+    sum_draws: Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -295,16 +301,44 @@ def _bind_kernel(pmf: Pmf) -> LawKernel:
             "log_mass_max": math.log(float(pmf.probs[hi]))}
     if pmf.family in ("geometric", "poisson"):    # the table is truncated
         ends.update(support_max=math.inf, log_mass_max=None)
-    if pmf.family == "bernoulli":
-        return _bernoulli_kernel(pmf.params["p"], ends)
     if pmf.family == "geometric":
         return _geometric_kernel(pmf.params["a"], ends)
     if pmf.family == "poisson":
         return _poisson_kernel(pmf.params["lambda"], ends)
-    return _explicit_kernel(pmf, ends)
+    if pmf.family == "bernoulli":
+        return _bernoulli_kernel(pmf.params["p"], ends, _table_draws(pmf))
+    return _explicit_kernel(pmf, ends, _table_draws(pmf))
 
 
-def _bernoulli_kernel(p: float, ends: dict) -> LawKernel:
+def _table_draws(pmf: Pmf):
+    """Sums of i.i.d. draws from the table, one multinomial split of each count
+    over the support points, so the cost grows with the support, not with the
+    counts.  The table is renormalized first; for one that records a
+    truncation deficit the draws are biased by at most that deficit.
+
+    A law on exactly two points draws the count at the lower point with
+    ``rng.binomial`` instead.  For two categories NumPy's multinomial draws
+    exactly that one binomial per entry, in entry order, so the sums and the
+    generator's state afterwards are identical; but the binomial releases
+    the GIL, so concurrent chunks overlap, while the multinomial holds it.
+    """
+    support = pmf.support
+    probs = pmf.probs / pmf.probs.sum()
+    if support.size != 2:
+        return lambda counts, rng: rng.multinomial(counts, probs) @ support
+    p_low, low_point, high_point = probs[0], support[0], support[1]
+
+    def sum_draws(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        low = rng.binomial(counts, p_low)
+        total = counts - low
+        total *= high_point
+        low *= low_point
+        total += low
+        return total
+    return sum_draws
+
+
+def _bernoulli_kernel(p: float, ends: dict, sum_draws) -> LawKernel:
     q = 1.0 - p
     if p == 0.0 or p == 1.0:
         def log_pgf(log_s: float) -> float:
@@ -339,7 +373,7 @@ def _bernoulli_kernel(p: float, ends: dict) -> LawKernel:
             return p / (p + q * math.exp(-theta))
     cgf = CgfEvaluator(log_pgf, tilted_mean, mean=p, theta_max=math.inf, **ends)
     return LawKernel(lambda s: q + p * s, lambda s: p, cgf, radius=math.inf,
-                     u_star=math.inf)
+                     u_star=math.inf, sum_draws=sum_draws)
 
 
 def _geometric_kernel(a: float, ends: dict) -> LawKernel:
@@ -363,9 +397,17 @@ def _geometric_kernel(a: float, ends: dict) -> LawKernel:
     def tilted_mean(theta: float) -> float:
         w = a * math.exp(theta) if theta < edge else 1.0
         return w / (1.0 - w) if w < 1.0 else math.inf
+
+    def sum_draws(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # c geometric(a) draws sum to NegBin(c, 1 - a); NumPy rejects c = 0
+        live = counts > 0
+        total = np.zeros_like(counts)
+        total[live] = rng.negative_binomial(counts[live], 1.0 - a)
+        return total
     cgf = CgfEvaluator(log_pgf, tilted_mean, mean=a / (1.0 - a), theta_max=edge,
                        **ends)
-    return LawKernel(pgf, dpgf, cgf, radius=1.0 / a, u_star=0.5 / a)
+    return LawKernel(pgf, dpgf, cgf, radius=1.0 / a, u_star=0.5 / a,
+                     sum_draws=sum_draws)
 
 
 def _poisson_kernel(lam: float, ends: dict) -> LawKernel:
@@ -376,11 +418,13 @@ def _poisson_kernel(lam: float, ends: dict) -> LawKernel:
         lambda log_s: math.inf if log_s > 708.0 else lam * math.expm1(log_s),
         lambda theta: math.inf if theta > 708.0 else lam * math.exp(theta),
         mean=lam, theta_max=math.inf, **ends)
+    # c Poisson(lam) draws sum to Poisson(c lam)
     return LawKernel(pgf, lambda s: lam * pgf(s), cgf, radius=math.inf,
-                     u_star=1.0 / lam)
+                     u_star=1.0 / lam,
+                     sum_draws=lambda counts, rng: rng.poisson(lam * counts))
 
 
-def _explicit_kernel(pmf: Pmf, ends: dict) -> LawKernel:
+def _explicit_kernel(pmf: Pmf, ends: dict, sum_draws) -> LawKernel:
     """The table: f and f' summed over every point, the cgf over positive mass."""
     sup_all, probs_all = pmf.support.astype(np.float64), pmf.probs
     finite_at_inf = pmf.max_support == 0    # a point mass at zero
@@ -432,4 +476,5 @@ def _explicit_kernel(pmf: Pmf, ends: dict) -> LawKernel:
     cgf = CgfEvaluator(log_pgf, tilted_mean, mean=mean(pmf), theta_max=math.inf,
                        **ends)
     return LawKernel(pgf, dpgf, cgf, radius=math.inf,
-                     u_star=math.inf if sup_max <= 1.0 else None)
+                     u_star=math.inf if sup_max <= 1.0 else None,
+                     sum_draws=sum_draws)

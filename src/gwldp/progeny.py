@@ -138,6 +138,12 @@ def total_progeny_pgf(f: Pmf, s: float) -> float:
     _require_proper(f)
     if s < 0.0:
         raise HypothesisError(f"pgf argument must be nonnegative, got {s}")
+    return _solve_pgf(f, s)
+
+
+def _solve_pgf(f: Pmf, s: float) -> float:
+    """``total_progeny_pgf`` without its checks, for the rate code's hot path:
+    the caller has established that f is proper and that s >= 0."""
     if s == 1.0:
         return 1.0
     # the tangent of a convex h lies below it, so from a point with h > 0 a

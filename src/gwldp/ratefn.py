@@ -17,11 +17,12 @@ for most rates:
 The conjugate solver brackets the root of Lambda'(theta) = x by exponential
 expansion and takes Illinois steps with a bisection safeguard on the exact
 derivative: e^theta f'(e^theta)/f(e^theta) for a law, 1/(1 - s f'(G(s))) at
-s = e^beta for the total progeny (from G = s*f(G)).  It finds domain edges
-through infinite evaluations (the progeny cgf's edge is also exact, from the
-tangency u f'(u) = f(u)), takes a supremum still rising at an edge at the last
-finite point, and reports brackets beyond |theta| = 700, where exp overflows,
-as capped values with a saturation marker.  Each law's log-pgf and derivative
+s = e^beta for the total progeny (from G = s*f(G)).  It searches below a
+domain edge the cgf knows (a law's log radius; the progeny cgf's, from the
+tangency u f'(u) = f(u)) and finds any other through infinite evaluations,
+takes a supremum still rising at an edge at the last finite point, and
+reports brackets beyond |theta| = 700, where exp overflows, as capped values
+with a saturation marker.  Each law's log-pgf and derivative
 come from its kernel, bound once at construction (``offspring.LawKernel``).
 """
 
@@ -104,7 +105,7 @@ def _progeny_slope(f: Pmf, beta: float) -> tuple[float, float]:
     """G(s) and d log G/d log s at s = exp(beta), from G = s*f(G): the slope
     is 1/(1 - s f'(G)), infinite where G is and at the edge's tangency."""
     s = math.exp(min(beta, 708.0))
-    v = prog.total_progeny_pgf(f, s)
+    v = prog._solve_pgf(f, s)
     slack = 1.0 - s * f.kernel.dpgf(v) if math.isfinite(v) else 0.0
     return v, 1.0 / slack if slack > 0.0 else math.inf
 
@@ -118,7 +119,7 @@ def cgf_progeny_unit(f: Pmf) -> CgfEvaluator:
     prog.require_subcritical(f)
 
     def fn(beta: float) -> float:
-        v = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
+        v = prog._solve_pgf(f, math.exp(min(beta, 708.0)))
         return math.log(v) if math.isfinite(v) and v > 0.0 else math.inf
 
     childless = f.max_support == 0   # no offspring ever: Y = 1 surely
@@ -141,7 +142,7 @@ def cgf_progeny_compound(model: ProgenyModel) -> CgfEvaluator:
     log_g, dlog_g = cg.fn, cg.dfn
 
     def fn(beta: float) -> float:
-        v = prog.total_progeny_pgf(f, math.exp(min(beta, 708.0)))
+        v = prog._solve_pgf(f, math.exp(min(beta, 708.0)))
         if not math.isfinite(v) or v <= 0.0:
             return math.inf
         return log_g(math.log(v))
@@ -216,8 +217,12 @@ def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
             return -cgf.log_mass_max, "support_max"
 
     # ---- upper bracket end: dfn must reach x; each end short of it is a lo.
-    # Past the domain edge fn is +inf too; at a steep interior point it is not
+    # A known domain edge bounds the search from the start, so no probe lands
+    # past it; an unknown one is found where fn is +inf too (at a steep
+    # interior point it is not), which also guards a known one
     lo, hi, edge = -1.0, 1.0, None
+    if 0.0 < cgf.theta_max < math.inf:
+        hi, edge = min(1.0, 0.5 * cgf.theta_max), cgf.theta_max
     while math.isinf(d := dfn(hi)) and math.isinf(fn(hi)):
         edge, hi = hi, 0.5 * hi
         if hi < 1e-300:
@@ -234,8 +239,9 @@ def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
                     lam = fn(t)
                 return t * x - lam, "theta_cap"
         elif edge - hi <= 1e-13 * max(1.0, abs(edge)):
-            # the objective still rises at the domain edge
-            return hi * x - fn(hi), "theta_max"
+            # the objective still rises at the domain edge, which a known
+            # edge may belong to (fn finite there)
+            return max(hi * x - fn(hi), edge * x - fn(edge)), "theta_max"
         else:
             nxt = 0.5 * (hi + edge)
         if math.isinf(d_nxt := dfn(nxt)) and math.isinf(fn(nxt)):

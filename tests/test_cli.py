@@ -143,7 +143,18 @@ class TestSimulate:
         assert "mass at zero" in err and "population cap" not in err
 
     def test_seed_replay_byte_identical(self, tmp_path, capsys):
+        self.assert_replay(tmp_path, self.scenario_file(tmp_path, trials=500))
+
+    def test_seed_replay_poisson(self, tmp_path, capsys):
+        # Poisson generations come from the exact convolution law, one
+        # Poisson draw per trial, not from the truncated table
         cfg = self.scenario_file(tmp_path, trials=500)
+        f = {"family": "poisson", "params": {"lambda": 0.6}, "truncation_K": 40}
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), f=f)))
+        self.assert_replay(tmp_path, cfg)
+
+    @staticmethod
+    def assert_replay(tmp_path, cfg):
         for sub in ("a", "b"):
             assert run(["simulate", "--config", str(cfg),
                         "--out", str(tmp_path / sub)]) == 0

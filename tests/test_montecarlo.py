@@ -41,10 +41,19 @@ def scenario(f=BERN_SPEC, g=G_HALF_SPEC, n_schedule=(5, 10), trials=200,
 
 def serial_sums(sc, purpose):
     """Reference sampler: one (n, chunk) unit after another on this thread,
-    every draw a multinomial split over the law's support."""
+    every draw from the exact convolution law for the Poisson and geometric
+    families and a multinomial split over the law's support otherwise."""
     model = sc.model()
 
     def sum_draws(pmf, counts, rng):
+        if pmf.family == "poisson":
+            return rng.poisson(pmf.params["lambda"] * counts)
+        if pmf.family == "geometric":
+            total = np.zeros_like(counts)
+            live = counts > 0
+            total[live] = rng.negative_binomial(counts[live],
+                                                1.0 - pmf.params["a"])
+            return total
         return rng.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
 
     width = max(model.f.support.size, model.g.support.size)
@@ -83,16 +92,26 @@ def assert_same_sums(got, want):
 
 
 def spy_replicate_sums(monkeypatch):
-    """Record (scenario, purpose, result) of every ``_replicate_sums`` call."""
+    """Record (arms, result) of every ``_replicate_sums`` call."""
     calls = []
     real = mc._replicate_sums
 
-    def spy(sc, model, purpose):
-        result = real(sc, model, purpose)
-        calls.append((sc, purpose, result))
+    def spy(arms):
+        result = real(arms)
+        calls.append((arms, result))
         return result
     monkeypatch.setattr(mc, "_replicate_sums", spy)
     return calls
+
+
+def poisson_pmf(lam, k):
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+def negbin_pmf(c, p, k):
+    """P(k failures before the c-th success), success probability p."""
+    return math.exp(math.lgamma(k + c) - math.lgamma(k + 1) - math.lgamma(c)
+                    + c * math.log(p) + k * math.log1p(-p))
 
 
 class TestSampler:
@@ -124,12 +143,66 @@ class TestSampler:
             ref.integers(2 ** 62, size=4).tolist()
 
     def test_wide_support_multinomial(self):
-        wide = gw.pmf_from_family("poisson", {"lambda": 4.0}, truncation_K=40)
+        wide = pmf_from_dict(gw.pmf_from_family(
+            "poisson", {"lambda": 4.0}, truncation_K=40).as_dict())
         draws = _sum_draws(wide, np.ones(400_000, dtype=np.int64),
                            np.random.default_rng(1))
         assert draws.mean() == approx(4.0, abs=0.02)
         for k in (0, 2, 4, 7):
             assert np.mean(draws == k) == approx(wide.prob(k), abs=0.004)
+
+    def test_table_law_keeps_multinomial_stream(self):
+        # a family's table given as an explicit law keeps the multinomial
+        pmf = pmf_from_dict(gw.pmf_from_family(
+            "poisson", {"lambda": 4.0}, truncation_K=40).as_dict())
+        counts = np.random.default_rng(3).integers(0, 60, 500)
+        ours, ref = np.random.default_rng(42), np.random.default_rng(42)
+        got = _sum_draws(pmf, counts, ours)
+        want = ref.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert ours.integers(2 ** 62, size=4).tolist() == \
+            ref.integers(2 ** 62, size=4).tolist()
+
+    # per law, the exact pmf of a sum of c i.i.d. draws
+    EXACT = {
+        "poisson-0.6": (("poisson", {"lambda": 0.6}),
+                        lambda c, k: poisson_pmf(0.6 * c, k)),
+        "poisson-4": (("poisson", {"lambda": 4.0}),
+                      lambda c, k: poisson_pmf(4.0 * c, k)),
+        "geometric-0.3": (("geometric", {"a": 0.3}),
+                          lambda c, k: negbin_pmf(c, 0.7, k)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_convolution_law_exact(self, name):
+        (family, params), exact = self.EXACT[name]
+        pmf = gw.pmf_from_family(family, params, truncation_K=40)
+        rng = np.random.default_rng(2017)
+        # a zero count draws 0, alone or among others (NumPy's negative
+        # binomial rejects a zero count)
+        for counts in (np.zeros(5, dtype=np.int64),
+                       np.array([0, 1, 0, 3, 50, 0], dtype=np.int64)):
+            draws = _sum_draws(pmf, counts, rng)
+            assert draws.dtype == np.int64
+            assert not draws[counts == 0].any()
+        size = 100_000
+        above_k = 0
+        for c in (1, 3, 50):
+            draws = _sum_draws(pmf, np.full(size, c, dtype=np.int64), rng)
+            freq = np.bincount(draws, minlength=draws.max() + 10) / size
+            # each k expected at least 5 times on its own, the rest pooled
+            probs = [exact(c, k) for k in range(freq.size)]
+            common = [k for k, p in enumerate(probs) if size * p >= 5.0]
+            rare = [k for k, p in enumerate(probs) if size * p < 5.0]
+            bins = [([k], probs[k]) for k in common]
+            bins.append((rare, 1.0 - sum(probs[k] for k in common)))
+            for ks, p in bins:
+                seen = freq[ks].sum()
+                assert abs(seen - p) <= 4.0 * math.sqrt(p * (1.0 - p) / size), \
+                    (c, ks, seen, p)
+            above_k += int(np.count_nonzero(draws > pmf.max_support))
+        assert above_k > 0     # checked above the truncation K too
 
 
 class TestSampleProgeny:
@@ -278,7 +351,7 @@ class TestSerialReference:
     CASES = {
         # both laws two-point (the binomial path), at least 3 chunks per n
         "bernoulli": (BERN_SPEC, G13_SPEC, 500),
-        # 41 support points: the multinomial path
+        # 41 support points, drawn from the exact convolution laws
         "poisson": (POISSON_SPEC, G13_SPEC, None),
         "geometric-point-start": (GEOMETRIC_SPEC, G_ID_SPEC, None),
     }
@@ -306,10 +379,15 @@ class TestSerialReference:
         sc = self.case(name, monkeypatch)
         calls = spy_replicate_sums(monkeypatch)
         estimator_tail_ratio(sc, 0.3)
-        assert [purpose for _, purpose, _ in calls] == \
+        [(arms, result)] = calls       # both arms pooled in one call
+        assert [purpose for _, _, purpose in arms] == \
             [mc._PURPOSE_TAIL_RANDOM, mc._PURPOSE_TAIL_DETERMINISTIC]
-        for arm, purpose, result in calls:
-            assert_same_sums(result, serial_sums(arm, purpose))
+        start = 0
+        for arm, _, purpose in arms:
+            stop = start + len(arm.n_schedule)
+            assert_same_sums(result[start:stop], serial_sums(arm, purpose))
+            start = stop
+        assert start == len(result)
 
 
 class TestScheduling:

@@ -1399,7 +1399,8 @@ class TestThetaMaxBranch:
 class TestEvaluationBudget:
     """rate_progeny_direct's cgf evaluations per point on average, Lambda and
     Lambda' counted alike: central differences and the value climb took about
-    165, bisection about 43, Illinois steps 20."""
+    165, bisection about 43, Illinois steps 20, and Illinois steps with the
+    upper bracket started below the known domain edge 13.2."""
 
     @staticmethod
     def mean_calls(monkeypatch):
