@@ -8,9 +8,10 @@ Commands
     simulate     run a replication scenario, emit rates.csv / estimators.csv
     verify       run the named identity checks, emit a pass/fail report
 
-Exit status: 0 success, 2 configuration errors, 3 violated structural
-hypotheses, 4 numerical convergence failures.  All CSVs use '.' decimals,
-LF line endings, a header row, and 12 significant digits.
+Exit status: 0 success, 1 a verify check failed, 2 configuration errors,
+3 violated structural hypotheses, 4 numerical convergence failures.  All
+CSVs use '.' decimals, LF line endings, a header row, and 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -28,7 +28,7 @@ import numpy as np
 from . import montecarlo as mc
 from . import offspring as off
 from . import progeny as prog
-from . import ratefn
+from . import ratefn, verify
 from .errors import (ConfigError, ConvergenceError, HypothesisError,
                      ParameterError, PopulationCapError, TruncationError,
                      whole_number)
@@ -36,11 +36,9 @@ from .errors import (ConfigError, ConvergenceError, HypothesisError,
 COMMANDS = ("rate", "progeny-pmf", "extinction", "compare", "simulate", "verify")
 RATE_TARGETS = ("offspring", "initial", "progeny", "estimator-ratio",
                 "estimator-deterministic", "estimator-meaninit")
-VERIFY_CHECKS = ("prop1", "prop2", "prop3_contraction", "prop4_bracket",
-                 "corollary1", "remark6")
-
-_DEFAULT_F = {"family": "bernoulli", "params": {"p": 0.5}}
-_DEFAULT_G = {"family": "explicit", "params": {"probs": [[1, 0.5], [2, 0.5]]}}
+VERIFY_CHECKS = tuple(verify.CHECKS)
+# config settings read and dumped as they are, each under its own name
+_SCALARS = ("output_dir", "seed", "tolerances", "target", "route", "k_max")
 # rows per CSV write; joining each 1e5-row estimators.csv block whole raised
 # the peak RSS of `gwldp simulate` (1e5 trials, n = 10/20/40) from 50 to 67 MB
 _CHUNK_ROWS = 1 << 13
@@ -51,8 +49,8 @@ class RunConfig:
     """Effective configuration of one CLI invocation."""
 
     command: str
-    f_spec: dict = field(default_factory=lambda: dict(_DEFAULT_F))
-    g_spec: dict = field(default_factory=lambda: dict(_DEFAULT_G))
+    f_spec: dict = field(default_factory=lambda: dict(verify.F_SPEC))
+    g_spec: dict = field(default_factory=lambda: dict(verify.G_SPEC))
     grid: tuple[float, float, int] = (0.0, 0.9, 19)
     output_dir: str = "."
     seed: int = 0
@@ -91,13 +89,8 @@ class RunConfig:
             "model": {"f": self.f_spec, "g": self.g_spec},
             "grid": {"lo": self.grid[0], "hi": self.grid[1],
                      "points": self.grid[2]},
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "target": self.target,
-            "route": self.route,
-            "k_max": self.k_max,
             "checks": list(self.checks),
+            **{key: getattr(self, key) for key in _SCALARS},
         }
         if self.scenario is not None:
             data["scenario"] = self.scenario
@@ -121,11 +114,9 @@ def _config_from_json(command: str, data: dict) -> RunConfig:
             cfg.grid = (float(g["lo"]), float(g["hi"]), g["points"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"grid field invalid: {exc!r}") from exc
-    for key, attr in (("output_dir", "output_dir"), ("seed", "seed"),
-                      ("tolerances", "tolerances"), ("target", "target"),
-                      ("route", "route"), ("k_max", "k_max")):
+    for key in _SCALARS:
         if key in data:
-            setattr(cfg, attr, data[key])
+            setattr(cfg, key, data[key])
     if "checks" in data:
         cfg.checks = tuple(data["checks"])
     if "scenario" in data:
@@ -258,33 +249,27 @@ def _cmd_progeny_pmf(cfg: RunConfig) -> int:
     return 0
 
 
-def _rate_values(cfg: RunConfig, xs: np.ndarray):
-    f = off.pmf_from_spec(cfg.f_spec)
-    g = off.pmf_from_spec(cfg.g_spec)
-    model = prog.build_model(f, g)
-    for x in xs:
-        x = float(x)
-        if cfg.target == "offspring":
-            rv = ratefn.rate_offspring(f, x)
-        elif cfg.target == "initial":
-            rv = ratefn.rate_initial(g, x)
-        elif cfg.target == "progeny":
-            if cfg.route == "closed":
-                rv = ratefn.rate_progeny_closed(f, x)
-            else:
-                rv = ratefn.rate_progeny_direct(f, x)
-        elif cfg.target == "estimator-ratio":
-            rv = ratefn.rate_estimator_ratio(model, x)
-        elif cfg.target == "estimator-deterministic":
-            rv = ratefn.rate_estimator_deterministic(f, model.mu_g, x)
-        else:
-            rv = ratefn.rate_estimator_meaninit(model, x)
-        yield rv
+# each rate target's call on (model, x), progeny's keyed by route too; the
+# lambdas look ratefn's functions up at call time, where tracers patch them
+_RATES = {
+    "offspring": lambda m, x: ratefn.rate_offspring(m.f, x),
+    "initial": lambda m, x: ratefn.rate_initial(m.g, x),
+    ("progeny", "closed"): lambda m, x: ratefn.rate_progeny_closed(m.f, x),
+    ("progeny", "direct"): lambda m, x: ratefn.rate_progeny_direct(m.f, x),
+    "estimator-ratio": lambda m, x: ratefn.rate_estimator_ratio(m, x),
+    "estimator-deterministic":
+        lambda m, x: ratefn.rate_estimator_deterministic(m.f, m.mu_g, x),
+    "estimator-meaninit": lambda m, x: ratefn.rate_estimator_meaninit(m, x),
+}
 
 
 def _cmd_rate(cfg: RunConfig) -> int:
     xs = _grid_values(cfg.grid)
-    rvs = list(_rate_values(cfg, xs))
+    model = prog.build_model(off.pmf_from_spec(cfg.f_spec),
+                             off.pmf_from_spec(cfg.g_spec))
+    rate = _RATES[(cfg.target, cfg.route) if cfg.target == "progeny"
+                  else cfg.target]
+    rvs = [rate(model, float(x)) for x in xs]
     path = os.path.join(cfg.output_dir, "rate.csv")
     _write_csv(path, ["x", "value", "argmax_theta", "route"],
                [(xs, [rv.value for rv in rvs], [rv.argmax_theta for rv in rvs],
@@ -325,157 +310,22 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify: named identity checks
-# ---------------------------------------------------------------------------
-
-def _dev(a: float, b: float) -> float:
-    """Deviation treating a matching pair of infinities as exact agreement."""
-    if math.isinf(a) and math.isinf(b):
-        return 0.0
-    return abs(a - b)
-
-
-def _check_prop1(tol: float) -> tuple[float, list[str]]:
-    laws = [
-        off.pmf_from_family("bernoulli", {"p": 0.3}),
-        off.pmf_from_family("bernoulli", {"p": 0.5}),
-        off.pmf_from_family("geometric", {"a": 0.3}, truncation_K=40),
-        off.pmf_from_family("poisson", {"lambda": 0.6}, truncation_K=40),
-    ]
-    worst = 0.0
-    notes = []
-    for f in laws:
-        for y in np.linspace(1.05, 6.0, 60):
-            direct = ratefn.rate_progeny_direct(f, float(y)).value
-            closed = ratefn.rate_progeny_closed(f, float(y)).value
-            worst = max(worst, _dev(direct, closed))
-    notes.append(f"4 laws x 60 grid points on [1.05, 6], tol {tol:g}")
-    return worst, notes
-
-
-def _default_model() -> prog.ProgenyModel:
-    return prog.build_model(off.pmf_from_spec(_DEFAULT_F),
-                            off.pmf_from_spec(_DEFAULT_G))
-
-
-def _check_prop2(tol: float) -> tuple[float, list[str]]:
-    model = _default_model()
-    grid = np.linspace(1.0, 6.0, 22)[1:-1]
-    worst = 0.0
-    for y in grid:
-        for z in grid:
-            if not z < y:
-                continue
-            closed = ratefn.rate_bivariate(model, float(y), float(z)).value
-            oracle = ratefn.rate_bivariate_oracle(model, float(y), float(z)).value
-            worst = max(worst, _dev(oracle, closed))
-    center = ratefn.rate_bivariate_oracle(model, 3.0, 1.5).value
-    worst = max(worst, abs(center))
-    return worst, [f"20x20 interior grid, zero at the joint mean, tol {tol:g}"]
-
-
-def _check_prop3(tol: float) -> tuple[float, list[str]]:
-    model = _default_model()
-    worst = 0.0
-    for x in np.linspace(0.0, 0.9, 40):
-        closed = ratefn.rate_estimator_ratio(model, float(x)).value
-        variational = ratefn.ratio_rate_via_contraction(model, float(x)).value
-        worst = max(worst, _dev(variational, closed))
-    return worst, [f"contraction vs closed form on 40 points of [0, 0.9], tol {tol:g}"]
-
-
-def _check_prop4(tol: float) -> tuple[float, list[str]]:
-    f = off.pmf_from_dict({0: 1.0})
-    g = off.pmf_from_spec(_DEFAULT_G)
-    model = prog.build_model(f, g)
-
-    def i_g_closed(z: float) -> float:
-        # relative entropy of (2-z, z-1) against the fair two-point law
-        if not 1.0 <= z <= 2.0:
-            return math.inf
-        total = 0.0
-        for w in (2.0 - z, z - 1.0):
-            if w > 0.0:
-                total += w * math.log(2.0 * w)
-        return total
-
-    worst = 0.0
-    for x in np.linspace(-0.5, 0.95, 30):
-        j = ratefn.rate_estimator_meaninit(model, float(x)).value
-        expected = i_g_closed(model.mu_g / (1.0 - float(x)))
-        worst = max(worst, _dev(j, expected))
-    worst = max(worst, abs(ratefn.rate_estimator_meaninit(model, -0.5).value
-                           - math.log(2.0)))
-    for x in (-0.6, -1.0, -5.0):
-        if math.isfinite(ratefn.rate_estimator_meaninit(model, x).value):
-            worst = max(worst, math.inf)
-    return worst, [f"childless offspring law collapses to I_g on the finite "
-                   f"bracket, tol {tol:g}"]
-
-
-def _check_corollary1(tol: float) -> tuple[float, list[str]]:
-    model = _default_model()
-    xs = np.linspace(0.0, 0.975, 40)
-    rows = ratefn.compare_rates(model, xs)
-    worst = 0.0
-    for row in rows:
-        if not row.leq_ok:
-            worst = max(worst, row.j_random - row.j_diamond)
-        gap = row.j_diamond - row.j_random
-        if abs(row.x - model.mu_f) > 1e-12 and gap <= 1e-9:
-            worst = max(worst, math.inf)   # equality away from the mean
-        if abs(row.x - model.mu_f) <= 1e-12 and gap > 1e-9:
-            worst = max(worst, gap)
-    det_model = prog.build_model(model.f, off.pmf_from_dict({2: 1.0}))
-    for row in ratefn.compare_rates(det_model, xs):
-        worst = max(worst, _dev(row.j_random, row.j_diamond))
-    return worst, [f"Jensen ordering with equality only at the offspring "
-                   f"mean, tol {tol:g}"]
-
-
-def _check_remark6(tol: float) -> tuple[float, list[str]]:
-    f = off.pmf_from_dict({0: 1.0})
-    model = prog.build_model(f, off.pmf_from_spec(_DEFAULT_G))
-    worst = 0.0
-    for x in np.linspace(0.0, 0.95, 20):
-        j = ratefn.rate_estimator_ratio(model, float(x)).value
-        i_f = ratefn.rate_offspring(f, float(x)).value
-        j_det = ratefn.rate_estimator_deterministic(f, 1.5, float(x)).value
-        worst = max(worst, _dev(j, i_f), _dev(j, j_det))
-    return worst, [f"no-offspring law: ratio rate equals the offspring rate "
-                   f"and the deterministic-start rate, tol {tol:g}"]
-
-
-_CHECK_TABLE = {
-    "prop1": (_check_prop1, 1e-6),
-    "prop2": (_check_prop2, 1e-5),
-    "prop3_contraction": (_check_prop3, 1e-6),
-    "prop4_bracket": (_check_prop4, 1e-9),
-    "corollary1": (_check_corollary1, 1e-10),
-    "remark6": (_check_remark6, 1e-9),
-}
-
-
 def _cmd_verify(cfg: RunConfig) -> int:
     statuses, worsts, tols = [], [], []
-    all_ok = True
     for name in cfg.checks:
-        fn, default_tol = _CHECK_TABLE[name]
+        _, default_tol, note = verify.CHECKS[name]
         tol = float(cfg.tolerances.get(name, default_tol))
-        worst, notes = fn(tol)
-        ok = worst <= tol
-        all_ok &= ok
-        status = "pass" if ok else "FAIL"
+        worst = verify.worst_deviation(name)
+        status = "pass" if worst <= tol else "FAIL"
         print(f"{name}: {status} (max deviation {_fmt(worst)}, tol {_fmt(tol)})"
-              f" -- {notes[0]}")
+              f" -- {note}, tol {tol:g}")
         statuses.append(status)
         worsts.append(worst)
         tols.append(tol)
     path = os.path.join(cfg.output_dir, "verify.csv")
     _write_csv(path, ["check", "status", "max_deviation", "tolerance"],
                [(cfg.checks, statuses, worsts, tols)])
-    return 0 if all_ok else 1
+    return 1 if "FAIL" in statuses else 0
 
 
 _DISPATCH = {
@@ -546,12 +396,9 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--{flag} is not valid JSON: {exc.msg}") from exc
             setattr(cfg, f"{flag}_spec", spec)
-    if getattr(args, "target", None) is not None:
-        cfg.target = args.target
-    if getattr(args, "route", None) is not None:
-        cfg.route = args.route
-    if getattr(args, "k_max", None) is not None:
-        cfg.k_max = args.k_max
+    for name in ("target", "route", "k_max"):
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     if getattr(args, "checks", None) is not None:
         cfg.checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     cfg.validate()

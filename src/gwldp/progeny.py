@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ConvergenceError, HypothesisError
 from .offspring import Pmf
 
-FIXED_POINT_TOL = 1e-14
-FIXED_POINT_MAX_ITER = 10 ** 6
 NEWTON_MAX_ITER = 200
 
 
@@ -66,25 +64,16 @@ def require_subcritical(f: Pmf, g: Pmf | None = None) -> None:
         )
 
 
-def extinction_probability(f: Pmf, tol: float = FIXED_POINT_TOL,
-                           max_iter: int = FIXED_POINT_MAX_ITER) -> float:
+def extinction_probability(f: Pmf) -> float:
     """Minimal fixed point of the offspring generating function on [0, 1].
 
     Returns exactly 1.0 in the almost-sure-extinction regime (p_0 > 0 and
-    mu_f <= 1); otherwise iterates s <- f(s) from 0, which increases
-    monotonically to the minimal root.
+    mu_f <= 1); otherwise the smallest root of the convex h(u) = f(u) - u,
+    reached by ``_newton_root`` from u = 0, where h = p_0 >= 0.
     """
     if f.p0 > 0.0 and f.kernel.cgf.mean <= 1.0:
         return 1.0
-    pgf, s = f.kernel.pgf, 0.0
-    for _ in range(max_iter):
-        s_next = pgf(s)
-        if abs(s_next - s) < tol:
-            return s_next
-        s = s_next
-    raise ConvergenceError(
-        f"extinction fixed point did not converge within {max_iter} iterations"
-    )
+    return _newton_root(f, 1.0, 0.0)
 
 
 def _require_proper(f: Pmf) -> None:
@@ -146,9 +135,14 @@ def _solve_pgf(f: Pmf, s: float) -> float:
     the caller has established that f is proper and that s >= 0."""
     if s == 1.0:
         return 1.0
+    return _newton_root(f, s, 0.0 if s < 1.0 else 1.0)
+
+
+def _newton_root(f: Pmf, s: float, u: float) -> float:
+    """Smallest root above u of the convex h(u) = s*f(u) - u, by Newton steps
+    from a u with h(u) >= 0; inf when a nonnegative slope shows there is none."""
     # the tangent of a convex h lies below it, so from a point with h > 0 a
     # Newton step lands at or before the smallest root
-    u = 0.0 if s < 1.0 else 1.0
     pgf, dpgf = f.kernel.pgf, f.kernel.dpgf
     for _ in range(NEWTON_MAX_ITER):
         fu = pgf(u)

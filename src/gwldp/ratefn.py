@@ -230,14 +230,9 @@ def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
     while d < x:
         lo, d_lo = hi, d
         if edge is None:
-            nxt = 2.0 * hi
-            if nxt > THETA_CAP:
-                t = THETA_CAP
-                lam = fn(t)
-                while math.isinf(lam) and t > hi:
-                    t = 0.5 * (hi + t)
-                    lam = fn(t)
-                return t * x - lam, "theta_cap"
+            if hi == THETA_CAP:
+                return hi * x - fn(hi), "theta_cap"
+            nxt = min(2.0 * hi, THETA_CAP)
         elif edge - hi <= 1e-13 * max(1.0, abs(edge)):
             # the objective still rises at the domain edge, which a known
             # edge may belong to (fn finite there)
@@ -252,10 +247,9 @@ def _conjugate_raw(cgf: CgfEvaluator, x: float) -> tuple[float, float | str]:
     # ---- lower bracket end, unless found above; each end past x is a hi
     if lo < 0.0:
         while (d_lo := dfn(lo)) > x:
-            hi, d, lo = lo, d_lo, 2.0 * lo
-            if lo < -THETA_CAP:
-                lo = -THETA_CAP
+            if lo == -THETA_CAP:
                 return lo * x - fn(lo), "theta_cap"
+            hi, d, lo = lo, d_lo, max(2.0 * lo, -THETA_CAP)
 
     theta = _illinois(lambda t: dfn(t) - x, lo, hi, d_lo - x, d - x, THETA_TOL)
     return theta * x - fn(theta), theta

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from gwldp import cli
+from gwldp import build_model, cli, pmf_from_spec, ratefn
 from gwldp import montecarlo as mc
 from gwldp.errors import ConvergenceError
 
 BERN_F = '{"family": "bernoulli", "params": {"p": 0.5}}'
 QUAD_F = '{"family": "explicit", "params": {"probs": [[0, 0.25], [2, 0.75]]}}'
+G13 = '{"family": "explicit", "params": {"probs": [[1, 0.5], [3, 0.5]]}}'
 
 
 def run(argv):
@@ -74,6 +75,31 @@ class TestRate:
             values[route] = [float(l.split(",")[1]) for l in lines[1:]]
             assert all(l.split(",")[3] == route for l in lines[1:])
         assert values["closed"] == pytest.approx(values["direct"], abs=1e-6)
+
+    @pytest.mark.parametrize("target, route, call", [
+        ("offspring", "closed", lambda m, x: ratefn.rate_offspring(m.f, x)),
+        ("initial", "closed", lambda m, x: ratefn.rate_initial(m.g, x)),
+        ("progeny", "closed", lambda m, x: ratefn.rate_progeny_closed(m.f, x)),
+        ("progeny", "direct", lambda m, x: ratefn.rate_progeny_direct(m.f, x)),
+        ("estimator-ratio", "closed", ratefn.rate_estimator_ratio),
+        ("estimator-deterministic", "closed",
+         lambda m, x: ratefn.rate_estimator_deterministic(m.f, m.mu_g, x)),
+        ("estimator-meaninit", "closed", ratefn.rate_estimator_meaninit),
+    ])
+    def test_rows_match_library_call(self, tmp_path, capsys, target, route,
+                                     call):
+        # a grid across the supports, so inf and marker cells show up too
+        assert run(["rate", "--f", BERN_F, "--g", G13, "--grid", "0:3.5:15",
+                    "--target", target, "--route", route,
+                    "--out", str(tmp_path)]) == 0
+        model = build_model(pmf_from_spec(json.loads(BERN_F)),
+                            pmf_from_spec(json.loads(G13)))
+        expected = []
+        for x in np.linspace(0.0, 3.5, 15).tolist():
+            rv = call(model, x)
+            expected.append(",".join(map(cli._fmt, (x, rv.value,
+                                                    rv.argmax_theta, rv.route))))
+        assert (tmp_path / "rate.csv").read_text().splitlines()[1:] == expected
 
 
 class TestCompare:
@@ -176,6 +202,23 @@ class TestVerify:
         report = (tmp_path / "verify.csv").read_text().splitlines()
         assert report[0] == "check,status,max_deviation,tolerance"
         assert len(report) == 5
+
+    def test_all_checks_pass(self, tmp_path, capsys):
+        assert run(["verify", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert all(f"{name}: pass" in out for name in cli.VERIFY_CHECKS)
+        assert len((tmp_path / "verify.csv").read_text().splitlines()) == 7
+
+    def test_zero_tolerance_fails_exit_one(self, tmp_path, capsys):
+        # prop1's two routes agree only to rounding, so tolerance 0 fails
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"prop1": 0}}))
+        assert run(["verify", "--config", str(cfg), "--checks", "prop1,remark6",
+                    "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "prop1: FAIL" in out and "remark6: pass" in out
+        rows = (tmp_path / "verify.csv").read_text().splitlines()
+        assert rows[1].startswith("prop1,FAIL,") and rows[1].endswith(",0")
 
     def test_unknown_check_rejected(self, tmp_path, capsys):
         assert run(["verify", "--checks", "prop99",

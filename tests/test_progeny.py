@@ -90,6 +90,11 @@ class TestExtinction:
         # minimal root of 0.75 s^2 - s + 0.25 = 0
         pmf = pmf_from_dict({0: 0.25, 2: 0.75})
         assert extinction_probability(pmf) == approx(1.0 / 3.0, abs=1e-12)
+        # near-critical laws, where s <- f(s) stalls: the root p0/p2 of
+        # p2 s^2 - s + p0 = 0 has f'(q) = 2 p0 close to 1
+        for p0 in (0.49, 0.499, 0.4999):
+            q = extinction_probability(pmf_from_dict({0: p0, 2: 1.0 - p0}))
+            assert q == approx(p0 / (1.0 - p0), rel=1e-13)
 
     def test_identity_pgf_minimal_solution(self):
         assert extinction_probability(pmf_from_dict({1: 1.0})) == 0.0

@@ -259,6 +259,21 @@ class TestLegendreEngine:
         assert rate_offspring(f, x).value == approx(
             poisson_rate_oracle(x, 0.6), abs=1e-9)
 
+    @pytest.mark.parametrize("x", [1e223, 1e250, 1e300])
+    def test_poisson_root_between_512_and_theta_cap(self, x):
+        # the root log(x / 0.6) lies in (512, 700]: the bracket must probe
+        # THETA_CAP itself before reporting the cap
+        f = pmf_from_family("poisson", {"lambda": 0.6}, truncation_K=40)
+        rv = rate_offspring(f, x)
+        assert isinstance(rv.argmax_theta, float)
+        assert rv.value == approx(poisson_rate_oracle(x, 0.6), rel=1e-12)
+
+    def test_bernoulli_root_between_minus_theta_cap_and_512(self):
+        x = 1e-250
+        rv = rate_offspring(BERN, x)
+        assert rv.argmax_theta == approx(math.log(x / (1.0 - x)), abs=1e-10)
+        assert rv.value == approx(bernoulli_rate_oracle(x), rel=1e-12)
+
     @pytest.mark.parametrize("x", [1.1, 1.5, 2.2])
     def test_two_point_against_closed_oracle(self, x):
         assert rate_initial(G_HALF, x).value == approx(
@@ -1509,12 +1524,9 @@ def bisection_conjugate(cgf, x):
     while d < x:
         lo = hi
         if edge is None:
-            nxt = 2.0 * hi
-            if nxt > cap:
-                t = cap
-                while math.isinf(lam := fn(t)) and t > hi:
-                    t = 0.5 * (hi + t)
-                return t * x - lam, "theta_cap"
+            if hi == cap:
+                return cap * x - fn(cap), "theta_cap"
+            nxt = min(2.0 * hi, cap)
         elif edge - hi <= 1e-13 * max(1.0, abs(edge)):
             return hi * x - fn(hi), "theta_max"
         else:
@@ -1525,9 +1537,9 @@ def bisection_conjugate(cgf, x):
             edge = nxt
     if lo < 0.0:
         while dfn(lo) > x:
-            hi, lo = lo, 2.0 * lo
-            if lo < -cap:
+            if lo == -cap:
                 return -cap * x - fn(-cap), "theta_cap"
+            hi, lo = lo, max(2.0 * lo, -cap)
     while hi - lo > ratefn.THETA_TOL:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if dfn(mid) < x else (lo, mid)
@@ -1565,8 +1577,8 @@ def conjugate_cases(draw):
     """(cgf, x) for a law (Bernoulli, geometric with theta up to 1e-6 short of
     its edge, Poisson, the 31-point table), for the compound progeny and the
     mean-initial dual over those offspring laws, and for the markers: Poisson
-    at x from 1e-320 to 1e300 (theta_cap at both ends) and the truncated
-    quadratic cgf of TestThetaMaxBranch (theta_max)."""
+    at x from 1e-320 to 1e300 (theta_cap below Lambda'(-700), about 6e-305)
+    and the truncated quadratic cgf of TestThetaMaxBranch (theta_max)."""
     kind = draw(st.sampled_from(["bernoulli", "geometric", "poisson",
                                  "explicit-31", "compound", "meaninit-dual",
                                  "poisson-far", "theta-max"]))
