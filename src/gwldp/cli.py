@@ -77,6 +77,12 @@ class RunConfig:
         unknown = set(self.checks) - set(VERIFY_CHECKS)
         if unknown:
             raise ConfigError(f"unknown verify checks: {sorted(unknown)}")
+        if not isinstance(self.tolerances, dict) or any(
+                name not in VERIFY_CHECKS or isinstance(tol, bool)
+                or not isinstance(tol, (int, float)) or not tol >= 0.0
+                for name, tol in self.tolerances.items()):
+            raise ConfigError(f"tolerances must map verify check names to "
+                              f"nonnegative numbers, got {self.tolerances!r}")
         try:
             off.pmf_from_spec(self.f_spec)
             off.pmf_from_spec(self.g_spec)

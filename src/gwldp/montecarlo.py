@@ -21,14 +21,15 @@ thread per CPU the process may use: each unit draws from its own stream into
 its own slice of the output, so which thread runs which unit cannot change a
 bit.  Threads pay where NumPy's samplers release the GIL: the binomial
 does, so two-point laws, the paper's running example, draw through it,
-while the multinomial holds it for its whole loop (see ``_sum_draws``).
+while the multinomial holds it for its whole loop (see
+``offspring.LawKernel.sum_draws`` and ``offspring._table_draws``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,20 +52,6 @@ _Z95 = 1.959963984540054
 _PURPOSE_REPLICATE = 0
 _PURPOSE_TAIL_RANDOM = 1
 _PURPOSE_TAIL_DETERMINISTIC = 2
-
-
-def _sum_draws(pmf: Pmf, counts: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-    """Per entry, the sum of ``counts[i]`` i.i.d. draws from ``pmf``.
-
-    The law's kernel draws each sum in one step (``LawKernel.sum_draws``):
-    from the exact convolution law Poisson(lam c) or NegBin(c, 1 - a) for
-    the Poisson and geometric families, by a multinomial split of the count
-    over the renormalized table otherwise, one binomial for a two-point law.
-    Only a table that records a truncation deficit is biased, by at most
-    that deficit.
-    """
-    return pmf.kernel.sum_draws(counts, rng)
 
 
 @dataclass(frozen=True)
@@ -225,7 +212,7 @@ def sample_progeny(f: Pmf, g: Pmf, rng: np.random.Generator,
     individuals ever alive, so Y >= Z >= 1.
     """
     prog.require_subcritical(f, g)
-    z = _sum_draws(g, np.ones(1, dtype=np.int64), rng)
+    z = g.kernel.sum_draws(np.ones(1, dtype=np.int64), rng)
     y = _total_progeny_batch(f, z, rng, population_cap)
     return int(y[0]), int(z[0])
 
@@ -237,7 +224,7 @@ def _total_progeny_batch(f: Pmf, z: np.ndarray, rng: np.random.Generator,
     active = np.flatnonzero(total)
     alive = total[active]
     while active.size:
-        alive = _sum_draws(f, alive, rng)
+        alive = f.kernel.sum_draws(alive, rng)
         total[active] += alive
         if (total[active] > population_cap).any():
             raise PopulationCapError(
@@ -282,8 +269,8 @@ def _replicate_sums(arms: list[tuple[LdpScenario, ProgenyModel, int]]
     def draw(unit) -> None:
         scenario, model, purpose, n_index, n, chunk, y_part, z_part = unit
         rng = _stream(scenario, purpose, n_index, chunk)
-        z_part[:] = _sum_draws(
-            model.g, np.full(z_part.size, n, dtype=np.int64), rng)
+        z_part[:] = model.g.kernel.sum_draws(
+            np.full(z_part.size, n, dtype=np.int64), rng)
         y_part[:] = _total_progeny_batch(
             model.f, z_part, rng, scenario.population_cap)
 
@@ -382,9 +369,12 @@ def estimator_tail_ratio(scenario: LdpScenario, eps: float
 
     Runs paired, independently seeded simulations: one with the scenario's
     random initial law, one with the deterministic comparison start (initial
-    population identically mu_g).  The deterministic-start estimator decays
-    at a strictly larger rate near the offspring mean, so its tail
-    probability should fall below the random-start one as n grows.
+    population identically mu_g).  The deterministic arm shares the scenario,
+    its schedule, trials, seed and cap, and differs only in g and in the
+    purpose key of its streams; with Z_sum = n mu_g surely, the ratio
+    estimator of that arm is the mean-initial one.  The deterministic-start
+    estimator decays at a strictly larger rate near the offspring mean, so
+    its tail probability should fall below the random-start one as n grows.
     """
     model = scenario.model()
     prog.require_subcritical(model.f, model.g)
@@ -403,33 +393,18 @@ def estimator_tail_ratio(scenario: LdpScenario, eps: float
             f"tail comparison needs an integer initial-population mean to "
             f"define the deterministic-start process, got {model.mu_g!r}"
         )
-    mu_g = int(round(model.mu_g))
-    det_scenario = LdpScenario(
-        f_spec=scenario.f_spec,
-        g_spec={"family": "explicit", "params": {"probs": [[mu_g, 1.0]]}},
-        n_schedule=scenario.n_schedule,
-        trials=scenario.trials,
-        thresholds=(),
-        master_seed=scenario.master_seed,
-        population_cap=scenario.population_cap,
-    )
-    sums = _replicate_sums([
-        (scenario, model, _PURPOSE_TAIL_RANDOM),
-        (det_scenario, det_scenario.model(), _PURPOSE_TAIL_DETERMINISTIC)])
-    n_count = len(scenario.n_schedule)
-    rand_sums, det_sums = sums[:n_count], sums[n_count:]
+    det_model = build_model(model.f, off.pmf_from_dict({round(model.mu_g): 1.0}))
+    sums = _replicate_sums([(scenario, model, _PURPOSE_TAIL_RANDOM),
+                            (scenario, det_model, _PURPOSE_TAIL_DETERMINISTIC)])
+    event = Threshold("estimator_dev", eps)
+    hits = [_event_hits(ReplicationBlock(n, y, z, model.mu_g), event, model.mu_f)
+            for n, y, z in sums]
+    n_count, trials = len(scenario.n_schedule), scenario.trials
     rows = []
-    for (n, y_rand, z_rand), (_, y_det, z_det) in zip(rand_sums, det_sums):
-        est_rand = (y_rand - z_rand) / y_rand
-        est_det = (y_det - n * float(mu_g)) / y_det
-        hits_rand = int(np.count_nonzero(
-            np.abs(est_rand - model.mu_f) >= eps - 1e-12))
-        hits_det = int(np.count_nonzero(
-            np.abs(est_det - model.mu_f) >= eps - 1e-12))
-        p_rand = hits_rand / scenario.trials
-        p_det = hits_det / scenario.trials
+    for n, hits_rand, hits_det in zip(scenario.n_schedule, hits[:n_count],
+                                      hits[n_count:]):
+        p_rand, p_det = hits_rand / trials, hits_det / trials
         ratio = p_det / p_rand if hits_rand and hits_det else math.nan
-        rows.append(TailRatioRow(n, scenario.trials, hits_det, hits_rand,
-                                 p_det, p_rand, ratio,
-                                 hits_det == 0, hits_rand == 0))
+        rows.append(TailRatioRow(n, trials, hits_det, hits_rand, p_det, p_rand,
+                                 ratio, hits_det == 0, hits_rand == 0))
     return rows

@@ -32,13 +32,14 @@ import math
 from dataclasses import dataclass
 
 from . import progeny as prog
-from .errors import HypothesisError
+from .errors import ConvergenceError, HypothesisError
 from .offspring import CgfEvaluator, Pmf
 from .progeny import ProgenyModel
 
 THETA_CAP = 700.0       # |theta| beyond which exp(theta) is numerically unusable
 THETA_TOL = 1e-11       # bracket width at which the root search on theta stops
 GOLDEN_TOL = 1e-9       # interval tolerance for 1-D minimizations (golden_min)
+GOLDEN_MAX_ITER = 300   # golden_min's step budget; exhausting it raises
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction, 1 - 1/phi
 _SQRT_EPS = math.sqrt(2.0 ** -52)
@@ -282,8 +283,7 @@ def _nonneg(value: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-def golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL,
-               max_iter: int = 300) -> tuple[float, float]:
+def golden_min(fn, lo: float, hi: float) -> tuple[float, float]:
     """Minimum of a unimodal function on [lo, hi] by Brent's method.
 
     Golden-section steps, replaced by a parabola through the three best points
@@ -291,23 +291,24 @@ def golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL,
     (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5).
     A parabola is fitted only through finite values, so an objective that is
     +inf on part of the bracket is searched by golden section there.  Stops
-    when the best point lies within tol/2 + 2*sqrt(eps)*|x| of both ends of
-    the bracket (floating point cannot place a smooth minimum more finely
-    than the relative term) and returns that point with its value.
+    when the best point lies within GOLDEN_TOL/2 + 2*sqrt(eps)*|x| of both
+    ends of the bracket (floating point cannot place a smooth minimum more
+    finely than the relative term) and returns that point with its value;
+    raises ConvergenceError if GOLDEN_MAX_ITER steps do not get there.
     """
-    a, b = float(lo), float(hi)
+    a, b, tol = float(lo), float(hi), GOLDEN_TOL
     if b - a <= tol:
         mid = 0.5 * (a + b)
         return mid, fn(mid)
     x = w = v = a + _CGOLD * (b - a)     # best, second best, previous w
     fx = fw = fv = fn(x)
     d = e = 0.0                          # last step and the one before it
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         m = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(x) + tol / 4.0
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
-            break
+            return x, fx
         parabolic = False
         if abs(e) > tol1 and math.isfinite(fx) and math.isfinite(fw) \
                 and math.isfinite(fv):
@@ -345,7 +346,8 @@ def golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL,
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return x, fx
+    raise ConvergenceError(
+        f"golden_min did not converge in {GOLDEN_MAX_ITER} steps on [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------

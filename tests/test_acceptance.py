@@ -34,7 +34,7 @@ from gwldp import (LdpScenario, Threshold, build_model, empirical_rate,
                    rate_estimator_ratio, rate_initial, rate_offspring,
                    rate_progeny_closed, rate_progeny_direct, replicate,
                    total_progeny_pgf, total_progeny_pmf_dwass)
-from gwldp.montecarlo import _sum_draws, _total_progeny_batch
+from gwldp.montecarlo import _total_progeny_batch
 
 BERN = pmf_from_dict({0: 0.5, 1: 0.5})
 G_HALF = pmf_from_dict({1: 0.5, 2: 0.5})
@@ -329,7 +329,7 @@ def test_invariant_battery():
 
     # sampled lineages respect Y >= Z >= 1
     rng = np.random.default_rng(MASTER_SEED)
-    z = _sum_draws(G_HALF, np.ones(100_000, dtype=np.int64), rng)
+    z = G_HALF.kernel.sum_draws(np.ones(100_000, dtype=np.int64), rng)
     y = _total_progeny_batch(BERN, z, rng, 10 ** 7)
     if not (np.all(y >= z) and np.all(z >= 1)):
         failures.append("sample ordering")

@@ -224,6 +224,36 @@ class TestVerify:
         assert run(["verify", "--checks", "prop99",
                     "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("tolerances", [
+        {"prop1": "abc"}, {"prop1": True}, ["prop1", 1e-9], {"prop99": 1e-9},
+        {"prop1": math.nan}, {"prop1": -1e-9}],
+        ids=["string", "bool", "list", "unknown-check", "nan", "negative"])
+    def test_malformed_tolerances_exit_two(self, tmp_path, capsys, tolerances):
+        # a string or a non-object escaped as a traceback with exit 1, the
+        # code for a failed check; a boolean or an unknown name was taken
+        # in silence, and a NaN or negative tolerance failed its check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": tolerances}))
+        assert run(["verify", "--config", str(cfg), "--checks", "remark6",
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_integer_tolerance_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"prop1": 1}}))
+        assert run(["verify", "--config", str(cfg), "--checks", "prop1",
+                    "--out", str(tmp_path)]) == 0
+        assert "prop1: pass" in capsys.readouterr().out
+        rows = (tmp_path / "verify.csv").read_text().splitlines()
+        assert rows[1].startswith("prop1,pass,") and rows[1].endswith(",1")
+
+    def test_exhausted_golden_min_exit_four(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(ratefn, "GOLDEN_MAX_ITER", 1)
+        assert run(["verify", "--checks", "prop3_contraction",
+                    "--out", str(tmp_path)]) == 4
+        assert "convergence failure:" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_bad_json_exit_two(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from gwldp import (HypothesisError, LdpScenario, PopulationCapError,
                    Threshold, empirical_rate, estimator_tail_ratio,
                    pmf_from_dict, replicate, sample_progeny,
                    total_progeny_pmf_dwass)
-from gwldp.montecarlo import _sum_draws, _total_progeny_batch
+from gwldp.montecarlo import _total_progeny_batch
 
 BERN_SPEC = {"family": "bernoulli", "params": {"p": 0.5}}
 G_ID_SPEC = {"family": "explicit", "params": {"probs": [[1, 1.0]]}}
@@ -116,8 +116,8 @@ def negbin_pmf(c, p, k):
 
 class TestSampler:
     def test_two_point_law(self):
-        draws = _sum_draws(G_HALF, np.ones(200_000, dtype=np.int64),
-                           np.random.default_rng(0))
+        draws = G_HALF.kernel.sum_draws(np.ones(200_000, dtype=np.int64),
+                                        np.random.default_rng(0))
         assert set(np.unique(draws)) == {1, 2}
         assert np.mean(draws == 1) == approx(0.5, abs=0.005)
 
@@ -135,7 +135,7 @@ class TestSampler:
     def test_two_point_matches_multinomial_stream(self, law, counts):
         pmf = pmf_from_dict(law)
         ours, ref = np.random.default_rng(42), np.random.default_rng(42)
-        got = _sum_draws(pmf, counts, ours)
+        got = pmf.kernel.sum_draws(counts, ours)
         want = ref.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -145,8 +145,8 @@ class TestSampler:
     def test_wide_support_multinomial(self):
         wide = pmf_from_dict(gw.pmf_from_family(
             "poisson", {"lambda": 4.0}, truncation_K=40).as_dict())
-        draws = _sum_draws(wide, np.ones(400_000, dtype=np.int64),
-                           np.random.default_rng(1))
+        draws = wide.kernel.sum_draws(np.ones(400_000, dtype=np.int64),
+                                      np.random.default_rng(1))
         assert draws.mean() == approx(4.0, abs=0.02)
         for k in (0, 2, 4, 7):
             assert np.mean(draws == k) == approx(wide.prob(k), abs=0.004)
@@ -157,7 +157,7 @@ class TestSampler:
             "poisson", {"lambda": 4.0}, truncation_K=40).as_dict())
         counts = np.random.default_rng(3).integers(0, 60, 500)
         ours, ref = np.random.default_rng(42), np.random.default_rng(42)
-        got = _sum_draws(pmf, counts, ours)
+        got = pmf.kernel.sum_draws(counts, ours)
         want = ref.multinomial(counts, pmf.probs / pmf.probs.sum()) @ pmf.support
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -183,13 +183,13 @@ class TestSampler:
         # binomial rejects a zero count)
         for counts in (np.zeros(5, dtype=np.int64),
                        np.array([0, 1, 0, 3, 50, 0], dtype=np.int64)):
-            draws = _sum_draws(pmf, counts, rng)
+            draws = pmf.kernel.sum_draws(counts, rng)
             assert draws.dtype == np.int64
             assert not draws[counts == 0].any()
         size = 100_000
         above_k = 0
         for c in (1, 3, 50):
-            draws = _sum_draws(pmf, np.full(size, c, dtype=np.int64), rng)
+            draws = pmf.kernel.sum_draws(np.full(size, c, dtype=np.int64), rng)
             freq = np.bincount(draws, minlength=draws.max() + 10) / size
             # each k expected at least 5 times on its own, the rest pooled
             probs = [exact(c, k) for k in range(freq.size)]
@@ -260,7 +260,7 @@ class TestBatchKernel:
     def test_matches_dwass_within_three_sigma(self):
         rng = np.random.default_rng(7)
         n_draws = 100_000
-        z = _sum_draws(G_ID, np.ones(n_draws, dtype=np.int64), rng)
+        z = G_ID.kernel.sum_draws(np.ones(n_draws, dtype=np.int64), rng)
         ys = _total_progeny_batch(BERN, z, rng, 10 ** 7)
         table = total_progeny_pmf_dwass(BERN, 60)
         for k in range(1, 61):
@@ -286,14 +286,14 @@ class TestBatchKernel:
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(9)
-        z = _sum_draws(G_HALF, np.ones(100_000, dtype=np.int64), rng)
+        z = G_HALF.kernel.sum_draws(np.ones(100_000, dtype=np.int64), rng)
         ys = _total_progeny_batch(BERN, z, rng, 10 ** 7)
         assert np.all(ys >= z)
         assert np.all(z >= 1)
 
     def test_batch_cap_trips(self):
         rng = np.random.default_rng(9)
-        z = _sum_draws(G_ID, np.ones(1000, dtype=np.int64), rng)
+        z = G_ID.kernel.sum_draws(np.ones(1000, dtype=np.int64), rng)
         with pytest.raises(PopulationCapError):
             _total_progeny_batch(BERN, z, rng, 4)
 
@@ -377,17 +377,17 @@ class TestSerialReference:
     @pytest.mark.parametrize("name", ["bernoulli", "poisson"])
     def test_tail_ratio_arms(self, name, monkeypatch):
         sc = self.case(name, monkeypatch)
+        # the deterministic arm starts every lineage at mu_g = 2 of G13
+        det = dataclasses.replace(sc, g_spec={
+            "family": "explicit", "params": {"probs": [[2, 1.0]]}})
         calls = spy_replicate_sums(monkeypatch)
         estimator_tail_ratio(sc, 0.3)
         [(arms, result)] = calls       # both arms pooled in one call
         assert [purpose for _, _, purpose in arms] == \
             [mc._PURPOSE_TAIL_RANDOM, mc._PURPOSE_TAIL_DETERMINISTIC]
-        start = 0
-        for arm, _, purpose in arms:
-            stop = start + len(arm.n_schedule)
-            assert_same_sums(result[start:stop], serial_sums(arm, purpose))
-            start = stop
-        assert start == len(result)
+        assert_same_sums(result,
+                         serial_sums(sc, mc._PURPOSE_TAIL_RANDOM)
+                         + serial_sums(det, mc._PURPOSE_TAIL_DETERMINISTIC))
 
 
 class TestScheduling:

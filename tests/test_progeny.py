@@ -16,6 +16,8 @@ from gwldp import (ConvergenceError, HypothesisError, build_model,
                    rate_progeny_direct, total_progeny_pgf,
                    total_progeny_pmf_dwass)
 from gwldp import progeny
+from oracles import (exact_offspring_rate, exact_progeny_law,
+                     exact_progeny_pgf, family_law, progeny_domain_edge)
 
 BERN = pmf_from_dict({0: 0.5, 1: 0.5})
 
@@ -32,21 +34,6 @@ def dwass_oracle(probs_by_k, k_max):
         power = np.convolve(power, base)
         out[k] = power[k - 1] / k
     return out
-
-
-def exact_progeny_law(family, param, k_max):
-    """Closed-form pi_1..pi_k_max at 50 digits for the untruncated family."""
-    with mpmath.workdps(50):
-        x = mpmath.mpf(param)
-        if family == "bernoulli":      # pi_k = p^{k-1} (1-p)
-            terms = [x ** (k - 1) * (1 - x) for k in range(1, k_max + 1)]
-        elif family == "poisson":      # Borel: e^{-lam k} (lam k)^{k-1} / k!
-            terms = [mpmath.exp(-x * k) * (x * k) ** (k - 1) / mpmath.factorial(k)
-                     for k in range(1, k_max + 1)]
-        else:                          # geometric: C(2k-2, k-1) a^{k-1} (1-a)^k / k
-            terms = [mpmath.binomial(2 * k - 2, k - 1) * x ** (k - 1)
-                     * (1 - x) ** k / k for k in range(1, k_max + 1)]
-        return np.array([float(t) for t in terms])
 
 
 def dwass_relative_error(table, oracle):
@@ -160,8 +147,7 @@ class TestDwass:
         ("geometric", 0.45, 80),
     ])
     def test_exact_family_laws(self, family, param, K):
-        key = {"bernoulli": "p", "poisson": "lambda", "geometric": "a"}[family]
-        pmf = pmf_from_family(family, {key: param}, truncation_K=K)
+        pmf = family_law(family, param, K)
         table = total_progeny_pmf_dwass(pmf, 1000)
         exact = exact_progeny_law(family, param, 1000)
         # below ~1e-290 the float table underflows; those rows are not compared
@@ -216,30 +202,6 @@ class TestFixedPointPgf:
         assert math.isinf(total_progeny_pgf(pmf, 1.16))
 
 
-def exact_pgf(family, param, s):
-    """G(s) at 50 digits from the family's closed form, on both sides of 1."""
-    with mpmath.workdps(50):
-        x, s = mpmath.mpf(param), mpmath.mpf(s)
-        if family == "bernoulli":
-            return s * (1 - x) / (1 - x * s)
-        if family == "geometric":
-            return (1 - mpmath.sqrt(1 - 4 * x * (1 - x) * s)) / (2 * x)
-        # Poisson: G = s exp(lam (G - 1)) is solved by the principal branch
-        return mpmath.re(-mpmath.lambertw(-x * s * mpmath.exp(-x)) / x)
-
-
-def progeny_domain_edge(family, param):
-    """s*, the largest s with G(s) finite: 1/p, 1/(4a(1-a)), 1/(lam e^{1-lam})."""
-    if family == "bernoulli":
-        return 1.0 / param
-    if family == "geometric":
-        return 1.0 / (4.0 * param * (1.0 - param))
-    return 1.0 / (param * math.exp(1.0 - param))
-
-
-FAMILY_PARAM = {"bernoulli": "p", "geometric": "a", "poisson": "lambda"}
-
-
 class TestNewtonPgf:
     """G(s) as the smallest root of s*f(u) = u, by Newton from where h > 0."""
 
@@ -252,13 +214,14 @@ class TestNewtonPgf:
         # near criticality a linearly convergent iteration stopped at
         # |dG| < 1e-14 misses by about 1e-14/(1 - mu_f); the root is found to
         # rounding, except within a hair of the tangency at the domain edge
-        f = pmf_from_family(family, {FAMILY_PARAM[family]: param},
-                            truncation_K=None if family == "bernoulli" else 400)
-        edge = progeny_domain_edge(family, param)
+        f = family_law(family, param, None if family == "bernoulli" else 400)
+        # s* at the default 53-bit precision rounds as double arithmetic does
+        edge = float(progeny_domain_edge(family, param))
         below = [0.0, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6]
         above = [1.0 + (edge - 1.0) * t for t in (1e-3, 0.1, 0.5, 0.9)]
         for s in below + above:
-            exact = exact_pgf(family, param, s)
+            with mpmath.workdps(50):
+                exact = exact_progeny_pgf(family, param)(mpmath.mpf(s))
             got = total_progeny_pgf(f, s)
             assert abs(got - exact) <= 1e-12 * exact, s
 
@@ -291,14 +254,12 @@ class TestNewtonPgf:
     @pytest.mark.parametrize("lam,y,bound", [(0.99, 101.0, 1e-6),
                                              (0.999, 1010.0, 1e-5)])
     def test_near_critical_direct_rate(self, lam, y, bound):
-        # exact Borel rate y*I_f((y-1)/y) with I_f(x) = x log(x/lam) - x + lam;
-        # a G stopped at |dG| < 1e-14 left the direct route 2.4e-5 and 2.8e-5
-        # off here
+        # exact Borel rate y*I_f((y-1)/y) with I_f the Poisson rate; a G
+        # stopped at |dG| < 1e-14 left the direct route 2.4e-5 and 2.8e-5 off
+        # here
         f = pmf_from_family("poisson", {"lambda": lam}, truncation_K=80)
-        x = (y - 1.0) / y
         with mpmath.workdps(50):
-            X, L = mpmath.mpf(x), mpmath.mpf(lam)
-            exact = float(y * (X * mpmath.log(X / L) - X + L))
+            exact = float(y * exact_offspring_rate("poisson", lam, (y - 1.0) / y))
         got = rate_progeny_direct(f, y).value
         assert abs(got - exact) <= bound * exact
 

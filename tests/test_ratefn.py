@@ -6,7 +6,8 @@ Closed-form oracles used here are derived independently of the library:
 * geometric ratio a: I(x) = x log(x / (a (1+x))) - log(1-a) - log(1+x)
 * Poisson lam: I(x) = x log(x/lam) - x + lam
 * two-point law on {1, 2} with equal masses:
-  I(z) = (2-z) log(2(2-z)) + (z-1) log(2(z-1)) on [1, 2]
+  I(z) = (2-z) log(2(2-z)) + (z-1) log(2(z-1)) on [1, 2], the relative
+  entropy that ``verify`` checks Proposition 4 against
 
 and a dense-grid brute-force maximization of theta*x - Lambda(theta).  The
 same family rates, evaluated at 50 digits with mpmath, check relative error.
@@ -34,6 +35,9 @@ from gwldp import (ConvergenceError, HypothesisError, RateValue, build_model,
                    rate_initial, rate_offspring, rate_progeny_closed,
                    rate_progeny_direct, rate_progeny_marginal,
                    ratio_rate_via_contraction)
+from gwldp.verify import _two_point_entropy as two_point_entropy
+from oracles import (exact_offspring_rate, exact_progeny_pgf, family_law,
+                     progeny_domain_edge)
 
 BERN = pmf_from_dict({0: 0.5, 1: 0.5})
 G_HALF = pmf_from_dict({1: 0.5, 2: 0.5})
@@ -69,16 +73,6 @@ def poisson_rate_oracle(x, lam):
     if x == 0.0:
         return lam
     return x * math.log(x / lam) - x + lam
-
-
-def two_point_rate_oracle(z):
-    if not 1.0 <= z <= 2.0:
-        return math.inf
-    total = 0.0
-    for w in (2.0 - z, z - 1.0):
-        if w > 0.0:
-            total += w * math.log(2.0 * w)
-    return total
 
 
 def reference_log_pgf(pmf, log_s):
@@ -194,22 +188,6 @@ def reference_tilted_mean(pmf, theta):
     return anchor + float(np.dot(gap, w) / w.sum())
 
 
-def exact_offspring_rate(family, param, x):
-    """Cramer rate I(x) of the untruncated family at 50 digits, as an mpf."""
-    with mpmath.workdps(50):
-        x, a = mpmath.mpf(x), mpmath.mpf(param)
-
-        def xlog(u, v):   # u log v with 0 log 0 = 0
-            return mpmath.mpf(0) if u == 0 else u * mpmath.log(v)
-
-        if family == "bernoulli":
-            return xlog(x, x / a) + xlog(1 - x, (1 - x) / (1 - a))
-        if family == "poisson":
-            return xlog(x, x / a) - x + a
-        return (xlog(x, x / (a * (1 + x))) - mpmath.log(1 - a)
-                - mpmath.log(1 + x))
-
-
 def relative_error(got, exact):
     with mpmath.workdps(50):
         return float(abs(mpmath.mpf(got) - exact) / exact)
@@ -277,7 +255,7 @@ class TestLegendreEngine:
     @pytest.mark.parametrize("x", [1.1, 1.5, 2.2])
     def test_two_point_against_closed_oracle(self, x):
         assert rate_initial(G_HALF, x).value == approx(
-            two_point_rate_oracle(x), abs=1e-10)
+            two_point_entropy(x), abs=1e-10)
 
     def test_brute_force_grid_oracle(self):
         # an untagged multi-point law: only the generic machinery applies
@@ -601,9 +579,9 @@ class TestEstimatorRates:
         assert math.isinf(rate_estimator_meaninit(model, -0.6).value)
         # inside the finite range the rate is I_g(mu_g / (1-x))
         assert rate_estimator_meaninit(model, 0.0).value == approx(
-            two_point_rate_oracle(1.5), abs=1e-12)
+            two_point_entropy(1.5), abs=1e-12)
         assert rate_estimator_meaninit(model, -0.25).value == approx(
-            two_point_rate_oracle(1.2), abs=1e-10)
+            two_point_entropy(1.2), abs=1e-10)
 
     def test_meaninit_above_one_infinite(self):
         assert math.isinf(rate_estimator_meaninit(self.MODEL, 1.0).value)
@@ -708,15 +686,10 @@ class TestHighPrecisionClosedForms:
 
     LAWS = [("bernoulli", 0.5, None), ("bernoulli", 0.3, None),
             ("poisson", 0.6, 40), ("geometric", 0.3, 40)]
-    PARAM = {"bernoulli": "p", "poisson": "lambda", "geometric": "a"}
-
-    def law(self, family, param, K):
-        return pmf_from_family(family, {self.PARAM[family]: param},
-                               truncation_K=K)
 
     @pytest.mark.parametrize("family,param,K", LAWS)
     def test_offspring_rate(self, family, param, K):
-        f = self.law(family, param, K)
+        f = family_law(family, param, K)
         hi = 1.0 if family == "bernoulli" else 4.0
         checked = 0
         for x in np.linspace(0.0, hi, 41):
@@ -729,7 +702,7 @@ class TestHighPrecisionClosedForms:
         assert checked >= 35
 
     def test_progeny_rate_both_routes(self):
-        f = self.law("poisson", 0.6, 40)
+        f = family_law("poisson", 0.6, 40)
         checked = 0
         for y in np.linspace(1.05, 6.0, 34):
             y = float(y)
@@ -748,7 +721,7 @@ class TestHighPrecisionClosedForms:
     @pytest.mark.parametrize("family,param,K", [LAWS[0], LAWS[2], LAWS[3]])
     def test_ratio_estimator_rate(self, family, param, K):
         # -log g(exp(-I_f(x)/(1-x))) with g(s) = (s + s^2)/2
-        model = build_model(self.law(family, param, K), G_HALF)
+        model = build_model(family_law(family, param, K), G_HALF)
         checked = 0
         for x in np.linspace(0.0, 0.9, 37):
             x = float(x)
@@ -875,12 +848,7 @@ def golden_primal(model, y):
 
 
 F_LAWS = [("bernoulli", 0.5, None), ("geometric", 0.3, 40), ("poisson", 0.6, 40)]
-F_PARAM = {"bernoulli": "p", "geometric": "a", "poisson": "lambda"}
 G13 = {1: 0.5, 3: 0.5}
-
-
-def family_law(family, param, K):
-    return pmf_from_family(family, {F_PARAM[family]: param}, truncation_K=K)
 
 
 class TestProgenyEdge:
@@ -901,19 +869,20 @@ class TestProgenyEdge:
     def test_bernoulli(self, p):
         # linear f: u/f(u) rises to 1/p and G(s) = s(1-p)/(1-sp) blows up there
         f = pmf_from_family("bernoulli", {"p": p})
-        self.assert_edge(cgf_progeny_unit(f).theta_max, lambda: 1 / mpmath.mpf(p))
+        self.assert_edge(cgf_progeny_unit(f).theta_max,
+                         lambda: progeny_domain_edge("bernoulli", p))
 
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.45])
     def test_geometric(self, a):
         f = pmf_from_family("geometric", {"a": a}, truncation_K=200)
         self.assert_edge(cgf_progeny_unit(f).theta_max,
-                         lambda: 1 / (4 * mpmath.mpf(a) * (1 - mpmath.mpf(a))))
+                         lambda: progeny_domain_edge("geometric", a))
 
     @pytest.mark.parametrize("lam", [0.6, 0.99])
     def test_poisson(self, lam):
         f = pmf_from_family("poisson", {"lambda": lam}, truncation_K=80)
-        self.assert_edge(cgf_progeny_unit(f).theta_max, lambda: 1 / (
-            mpmath.mpf(lam) * mpmath.exp(1 - mpmath.mpf(lam))))
+        self.assert_edge(cgf_progeny_unit(f).theta_max,
+                         lambda: progeny_domain_edge("poisson", lam))
 
     def test_explicit_tangency(self):
         # u f'(u) = f(u) for f(u) = 0.6 + 0.4 u^2 at u* = sqrt(1.5)
@@ -1100,6 +1069,13 @@ class TestGoldenMin:
     def test_degenerate_bracket(self):
         assert ratefn.golden_min(lambda t: t * t, 2.0, 2.0) == (2.0, 4.0)
 
+    def test_exhausted_budget_raises(self, monkeypatch):
+        # a search that cannot certify its minimum raises; it never returns
+        # an uncertified point in silence
+        monkeypatch.setattr(ratefn, "GOLDEN_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            ratio_rate_via_contraction(build_model(BERN, G_HALF), 0.25)
+
     @pytest.mark.parametrize("family,param,K", F_LAWS)
     @pytest.mark.parametrize("oracle", [ratio_rate_via_contraction], ids=["ratio"])
     def test_oracles_match_golden_section(self, family, param, K, oracle,
@@ -1230,21 +1206,6 @@ class TestJointRateBruteForce:
 EPS = 2.0 ** -52
 LAW_31 = pmf_from_dict({k: (k + 1) ** -2 / sum((j + 1) ** -2 for j in range(31))
                         for k in range(31)})
-
-
-def exact_progeny_pgf(family, param):
-    """G(s) from its closed form at the working precision (Bernoulli and
-    geometric in a form without cancellation at small s, Poisson through
-    Lambert W)."""
-    a = mpmath.mpf(param)
-
-    def G(s):
-        if family == "bernoulli":
-            return s * (1 - a) / (1 - a * s)
-        if family == "geometric":
-            return 2 * (1 - a) * s / (1 + mpmath.sqrt(1 - 4 * a * (1 - a) * s))
-        return -mpmath.re(mpmath.lambertw(-a * s * mpmath.exp(-a))) / a
-    return G
 
 
 def exact_progeny_cgf(family, param, g_table=None):
