@@ -3,9 +3,12 @@
 With offspring law f (mass p_h, mean mu_f) and initial-population law g, the
 process dies out almost surely when p_0 > 0 and mu_f <= 1, and the total
 progeny Y (all individuals ever alive) is then a proper random variable.
-Its unit-start law follows from the offspring law by the Dwass identity
-pi_k = (1/k) * (p^{*k})_{k-1} and its generating function G solves the fixed
-point G(s) = s * f(G(s)).
+Its unit-start law is the law of a first-passage time (Dwass 1969): Y is the
+first step at which the walk H_0 = 1, H_t = H_{t-1} + xi_t - 1 (xi_t i.i.d.
+with law f) reaches 0, so that pi_k = (1/k) * (p^{*k})_{k-1}.  The table
+``total_progeny_pmf_dwass`` walks H forward and drops the mass that can no
+longer reach 0 in time; that spilled mass is the tail P(Y > k_max).  Its
+generating function G solves the fixed point G(s) = s * f(G(s)).
 """
 
 from __future__ import annotations
@@ -16,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError
-from .offspring import Pmf
+from .offspring import MASS_TOL, Pmf
 
 NEWTON_MAX_ITER = 200
+# the Dwass walk starts from 2^_WALK_EXP, not 1: an exact change of units
+# that keeps the rows, and nearly all of the walk, out of subnormal
+# arithmetic, which rounds coarsely and runs slowly, until one final rounding
+_WALK_EXP = 1000
 
 
 @dataclass(frozen=True)
@@ -88,11 +95,21 @@ def _require_proper(f: Pmf) -> None:
 def total_progeny_pmf_dwass(f: Pmf, k_max: int) -> Pmf:
     """Unit-start total-progeny law {pi_k : 1 <= k <= k_max} by the Dwass identity.
 
-    The k-fold convolution power is built incrementally from the (k-1)-fold
-    one by convolving it with the compact offspring table p_0..p_K, where K
-    is the largest support point at most k_max; every power is truncated at
-    index k_max, which cannot disturb the coefficients pi_k with k <= k_max.
-    Each step costs O(k_max * K), the whole table O(k_max^2 * K).
+    The name keeps the identity it computes; the table comes from the
+    identity's hitting-time form, walked forward.  Before step t the state
+    is the sub-probability of H_{t-1} on the heights that can still reach 0
+    by step k_max, 1..k_max - t + 1, since a step lowers H by at most 1.
+    Step t convolves the state with the offspring table p_0..p_K, K the
+    largest support point at most k_max, shifted down one height: the mass
+    at height 0 is pi_t, and the mass above k_max - t spills.  Offspring
+    mass above k_max spills at once.  The deficit is the sum of the spills,
+    P(Y > k_max) accumulated from nonnegative terms, not 1 - sum(pi), so it
+    keeps its digits however small it is.  Offspring mass missing from the
+    table (a truncated family, or a table summing to a little under 1)
+    leaves the walk uncounted; where the rows and the spills then miss more
+    than MASS_TOL, the deficit is 1 - sum(pi), which counts it.  Step t
+    costs O((k_max - t) * K), the table about k_max^2 * K / 2 products, and
+    the memory is O(k_max + K).
     """
     _require_proper(f)
     if k_max < 1:
@@ -100,15 +117,27 @@ def total_progeny_pmf_dwass(f: Pmf, k_max: int) -> Pmf:
     kept = f.support <= k_max
     table = np.zeros(int(f.support[kept][-1]) + 1)
     table[f.support[kept]] = f.probs[kept]
-    conv = np.zeros(k_max + 1)  # k-fold convolution power, truncated
-    conv[: table.size] = table
-    pi = np.zeros(k_max + 1)
-    pi[1] = conv[0]
-    for k in range(2, k_max + 1):
-        conv = np.convolve(conv, table)[: k_max + 1]
-        pi[k] = conv[k - 1] / k
-    deficit = max(1.0 - float(pi.sum()), 0.0)
-    return Pmf(np.arange(1, k_max + 1), pi[1:], truncation_deficit=deficit)
+    escape = float(f.probs[~kept].sum())
+    spill = np.zeros(table.size - 1)    # spills summed by height above the window
+    escaped = 0.0
+    pi = np.zeros(k_max)
+    state = np.full(1, 2.0 ** _WALK_EXP)  # index i holds height i + 1
+    for t in range(1, k_max + 1):
+        if escape:
+            escaped += escape * float(state.sum())
+        walk = np.convolve(state, table)    # index j holds height j
+        pi[t - 1] = walk[0]
+        top = k_max - t + 1                 # heights >= top cannot reach 0
+        over = walk[top:]
+        spill[: over.size] += over
+        state = walk[1:top]
+        if not state.size:                  # p_0 alone: every walk has ended
+            break
+    pi = np.ldexp(pi, -_WALK_EXP)
+    deficit = math.ldexp(float(spill.sum()) + escaped, -_WALK_EXP)
+    if abs(float(pi.sum()) + deficit - 1.0) > MASS_TOL:
+        deficit = max(1.0 - float(pi.sum()), 0.0)
+    return Pmf(np.arange(1, k_max + 1), pi, truncation_deficit=deficit)
 
 
 def total_progeny_pgf(f: Pmf, s: float) -> float:

@@ -12,7 +12,8 @@ unless they say otherwise:
   Lambert W, s* = 1/(lam e^{1-lam}), the Borel law
   pi_k = e^{-lam k} (lam k)^{k-1} / k!;
 
-and the Cramer rates I(x) of the three offspring laws.
+the tails P(Y > k) of the geometric and Poisson laws, and the Cramer rates
+I(x) of the three offspring laws.
 """
 
 import mpmath
@@ -81,3 +82,32 @@ def exact_progeny_law(family, param, k_max):
             terms = [mpmath.binomial(2 * k - 2, k - 1) * x ** (k - 1)
                      * (1 - x) ** k / k for k in range(1, k_max + 1)]
         return np.array([float(t) for t in terms])
+
+
+def exact_progeny_tail(family, param, k_max):
+    """P(Y > k_max) of the untruncated family at 30 digits, as an mpf.
+
+    Sums pi_k for k > k_max term by term, each term the previous one times
+    the ratio pi_{k+1} / pi_k: 2 (2k-1) a (1-a) / (k+1) for geometric,
+    lam e^{-lam} (1 + 1/k)^{k-1} for Poisson (Bernoulli has the closed form
+    p^k_max).  The ratios rise to a limit L < 1 for a subcritical law, so
+    what is left after a term t is at most t L / (1 - L), and the sum stops
+    once that is below 1e-32 of it.
+    """
+    with mpmath.workdps(30):
+        x, k = mpmath.mpf(param), k_max + 1
+        if family == "geometric":
+            term = (mpmath.binomial(2 * k - 2, k - 1) * x ** (k - 1)
+                    * (1 - x) ** k / k)
+            limit = 4 * x * (1 - x)
+            ratio = lambda k: 2 * (2 * k - 1) * x * (1 - x) / (k + 1)
+        else:
+            term = mpmath.exp(-x * k) * (x * k) ** (k - 1) / mpmath.factorial(k)
+            limit = x * mpmath.exp(1 - x)
+            ratio = lambda k: x * mpmath.exp(-x) * (1 + mpmath.mpf(1) / k) ** (k - 1)
+        total = mpmath.mpf(0)
+        while term * limit / (1 - limit) >= total * mpmath.mpf("1e-32"):
+            total += term
+            term *= ratio(k)
+            k += 1
+        return total

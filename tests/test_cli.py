@@ -47,6 +47,16 @@ class TestProgenyPmf:
         assert deficit == pytest.approx(sum(0.5 ** k for k in range(7, 1000)),
                                         abs=1e-12)
 
+    def test_deficit_trailer_is_exact_tail(self, tmp_path, capsys):
+        # P(Y > 1000) = 2^-1000 for Bernoulli(1/2), far below what
+        # 1 - sum(pi) can resolve
+        code = run(["progeny-pmf", "--f", BERN_F, "--k-max", "1000",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "progeny_pmf.csv").read_text().splitlines()
+        assert len(lines) == 1002
+        assert lines[-1] == "# deficit=9.33263618503e-302"
+
     def test_supercritical_exit_three(self, tmp_path, capsys):
         code = run(["progeny-pmf", "--f",
                     '{"family": "explicit", "params": {"probs": [[0, 0.2], [2, 0.8]]}}',

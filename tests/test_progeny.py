@@ -16,8 +16,10 @@ from gwldp import (ConvergenceError, HypothesisError, build_model,
                    rate_progeny_direct, total_progeny_pgf,
                    total_progeny_pmf_dwass)
 from gwldp import progeny
+from gwldp.offspring import MASS_TOL
 from oracles import (exact_offspring_rate, exact_progeny_law,
-                     exact_progeny_pgf, family_law, progeny_domain_edge)
+                     exact_progeny_pgf, exact_progeny_tail, family_law,
+                     progeny_domain_edge)
 
 BERN = pmf_from_dict({0: 0.5, 1: 0.5})
 
@@ -119,6 +121,7 @@ class TestDwass:
         {0: 0.5, 1: 0.5},
         {0: 0.45, 1: 0.3, 2: 0.25},
         {0: 0.7, 3: 0.3},             # lattice gaps
+        {0: 0.5, 2: 0.5},             # critical
     ])
     def test_matches_brute_force_oracle(self, law):
         pmf_law = pmf_from_dict(law)
@@ -132,12 +135,58 @@ class TestDwass:
         ({h: 0.5 ** (h + 1) for h in range(10)} | {10: 0.5 ** 10}, 5),
         ({0: 0.9, 2: 0.04, 7: 0.06}, 1),
         ({0: 1.0}, 4),                                     # one-entry table
+        ({0: 0.5, 2: 0.5}, 1),                             # critical
+        ({0: 0.5, 2: 0.5}, 9),
     ])
     def test_support_above_k_max(self, law, k_max):
         table = total_progeny_pmf_dwass(pmf_from_dict(law), k_max)
         oracle = dwass_oracle(law, k_max)
         assert table.support.tolist() == list(range(1, k_max + 1))
         assert dwass_relative_error(table.probs, list(oracle.values())) <= 1e-12
+        # the deficit is P(Y > k_max); at these k_max it is large enough for
+        # 1 - sum(oracle) to hold it to rounding
+        assert abs(table.truncation_deficit - (1.0 - sum(oracle.values()))) \
+            <= 1e-15
+
+    def test_step_above_k_max_is_tail(self):
+        # a step to 1001 ends any hope of Y <= 1000, so P(Y > 1000) is
+        # 1e-200 * E[min(Y, 1000)] = 1e-200 * (2 - 2^-999) plus 2^-1000
+        law = pmf_from_dict({0: 0.5, 1: 0.5, 1001: 1e-200})
+        table = total_progeny_pmf_dwass(law, 1000)
+        assert abs(table.truncation_deficit - 2e-200) <= 1e-13 * 2e-200
+
+    @pytest.mark.parametrize("law", [
+        pmf_from_family("geometric", {"a": 0.3}, truncation_K=20),
+        pmf_from_dict({0: 0.5, 1: 0.3, 2: 0.199999999999}),
+    ], ids=["truncated", "rounded"])
+    def test_missing_offspring_mass_in_deficit(self, law):
+        # a table 1e-11 or 1e-12 short of 1 loses that much of the walk at
+        # every step, more than the mass check allows over the table: the
+        # deficit counts it, and the rows are the walk on the table
+        assert 1.0 - float(law.probs.sum()) > 9e-13
+        table = total_progeny_pmf_dwass(law, 60)
+        oracle = dwass_oracle(law.as_dict(), 60)
+        assert dwass_relative_error(table.probs, list(oracle.values())) <= 1e-12
+        assert abs(table.truncation_deficit - (1.0 - sum(oracle.values()))) \
+            <= 1e-15
+
+    @pytest.mark.parametrize("p,k_max", [(0.5, 1000), (0.5, 200), (0.3, 200),
+                                         (0.55, 1000), (0.9, 100)])
+    def test_bernoulli_deficit_is_exact_tail(self, p, k_max):
+        # Y is geometric, P(Y > k_max) = p^k_max: no cancellation against
+        # sum(pi) could leave this many digits below 2.2e-16
+        table = total_progeny_pmf_dwass(family_law("bernoulli", p, None), k_max)
+        exact = p ** k_max
+        assert abs(table.truncation_deficit - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("family,param,K", [("geometric", 0.3, 80),
+                                                ("poisson", 0.6, 60)])
+    @pytest.mark.parametrize("k_max", [200, 1000])
+    def test_deficit_is_exact_tail(self, family, param, K, k_max):
+        table = total_progeny_pmf_dwass(family_law(family, param, K), k_max)
+        exact = float(exact_progeny_tail(family, param, k_max))
+        assert exact < 1e-12
+        assert abs(table.truncation_deficit - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize("family,param,K", [
         ("bernoulli", 0.3, None), ("bernoulli", 0.5, None),
@@ -154,6 +203,19 @@ class TestDwass:
         kept = exact >= 1e-290
         assert kept[:100].all()
         assert dwass_relative_error(table.probs[kept], exact[kept]) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.3, 0.45])
+    def test_subnormal_rows_rounded_once(self, p):
+        # rows below 2^-1022 keep few bits, but each is still one rounding
+        # of a value the walk held in the normal range, so none is off by
+        # more than half the last subnormal place beyond the 1e-12 of the
+        # rows above; a walk in plain units rounds on every subnormal step
+        table = total_progeny_pmf_dwass(family_law("bernoulli", p, None), 1000)
+        with mpmath.workdps(40):
+            a, half_place = mpmath.mpf(p), mpmath.mpf(2) ** -1075
+            for k, row in enumerate(table.probs, start=1):
+                exact = a ** (k - 1) * (1 - a)
+                assert abs(row - exact) <= 1e-12 * exact + half_place, k
 
     def test_supercritical_rejected(self):
         with pytest.raises(HypothesisError):
@@ -327,6 +389,10 @@ class TestAgreementInvariants:
         table = total_progeny_pmf_dwass(pmf, k_max)
         oracle = dwass_oracle(law, k_max)
         assert dwass_relative_error(table.probs, list(oracle.values())) <= 1e-12
+        # P(Y > k_max) >= (1 - p_0)^k_max >= 1e-40: every step climbs
+        assert table.truncation_deficit > 0.0
+        assert abs(float(table.probs.sum()) + table.truncation_deficit - 1.0) \
+            <= MASS_TOL
         ks = table.support.astype(float)
         for s in (0.3, 0.7, 0.95, 1.0):
             series = float(np.dot(table.probs, s ** ks))
