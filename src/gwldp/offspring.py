@@ -166,7 +166,7 @@ def pmf_from_family(family: str, params: dict, truncation_K: int | None = None) 
         k_max = _check_truncation(family, truncation_K)
         h = np.arange(k_max + 1)
         probs = (1.0 - a) * a ** h
-        return _truncated(h, probs, "geometric", {"a": a})
+        return _truncated(h, probs, a ** (k_max + 1), "geometric", {"a": a})
 
     if family == "poisson":
         lam = _param(params, "lambda")
@@ -175,7 +175,12 @@ def pmf_from_family(family: str, params: dict, truncation_K: int | None = None) 
         k_max = _check_truncation(family, truncation_K)
         h = np.arange(k_max + 1)
         log_probs = -lam + h * math.log(lam) - np.array([math.lgamma(x + 1) for x in h])
-        return _truncated(h, np.exp(log_probs), "poisson", {"lambda": lam})
+        probs = np.exp(log_probs)
+        # past the mode the tail's terms fall, and its sum keeps its digits;
+        # before it the tail is too large for 1 - sum(p) to lose any
+        tail = (_poisson_tail(lam, k_max) if k_max >= lam
+                else max(1.0 - float(probs.sum()), 0.0))
+        return _truncated(h, probs, tail, "poisson", {"lambda": lam})
 
     if family == "explicit":
         table = params.get("probs")
@@ -271,8 +276,23 @@ def _check_truncation(family: str, truncation_K: int | None) -> int:
     return int(truncation_K)
 
 
-def _truncated(support: np.ndarray, probs: np.ndarray, family: str, params: dict) -> Pmf:
-    deficit = max(1.0 - float(probs.sum()), 0.0)
+def _poisson_tail(lam: float, k_max: int) -> float:
+    """P(X > k_max) for X ~ Poisson(lam) with k_max >= lam: the falling terms
+    e^-lam lam^k/k!, k > k_max, summed upward until one no longer moves the sum."""
+    k = k_max + 1
+    term = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+    total = 0.0
+    while total + term != total:
+        total += term
+        k += 1
+        term *= lam / k
+    return total
+
+
+def _truncated(support: np.ndarray, probs: np.ndarray, deficit: float,
+               family: str, params: dict) -> Pmf:
+    """A truncated family law; ``deficit`` is the family's exact mass above the
+    table, which 1 - sum(probs) would give only to rounding."""
     if deficit > DEFICIT_LIMIT:
         raise TruncationError(
             f"truncation leaves deficit {deficit:.3e} > {DEFICIT_LIMIT}; "

@@ -10,9 +10,9 @@ for most rates:
   mean-initial and random-start rates, solved by its Fenchel dual (one
   conjugate of y*Lambda_f + Lambda_g);
 * direct numerical conjugates of the relevant cgf, which serve as independent
-  oracles for the closed forms; the ratio-estimator contraction adds a
-  one-dimensional minimization, by Brent's method (``golden_min``: golden
-  section with safeguarded parabolic steps).
+  oracles for the closed forms; the ratio-estimator contraction is read from
+  its dual along the normal to its line, one root of s f'(G(s)) = x, so no
+  oracle searches over z or composes I_f.
 
 The conjugate solver brackets the root of Lambda'(theta) = x by exponential
 expansion and takes Illinois steps with a bisection safeguard on the exact
@@ -295,6 +295,10 @@ def golden_min(fn, lo: float, hi: float) -> tuple[float, float]:
     ends of the bracket (floating point cannot place a smooth minimum more
     finely than the relative term) and returns that point with its value;
     raises ConvergenceError if GOLDEN_MAX_ITER steps do not get there.
+
+    No library code calls it since the ratio contraction is solved through its
+    dual.  It stays only because the benchmark's tracing hook wraps it by name,
+    until that hook changes (ROADMAP item 1).
     """
     a, b, tol = float(lo), float(hi), GOLDEN_TOL
     if b - a <= tol:
@@ -537,31 +541,55 @@ def rate_progeny_marginal(model: ProgenyModel, y: float) -> RateValue:
 
 
 def ratio_rate_via_contraction(model: ProgenyModel, x: float) -> RateValue:
-    """Ratio-estimator rate recomputed as inf over z of the joint rate.
+    """Ratio-estimator rate as the contraction of the joint (Ybar, Zbar) rate
+    onto the line z = (1-x)*y, read from its dual.
 
-    Along (y-z)/y = x the joint rate is c*z + I_g(z) with c = I_f(x)/(1-x),
-    minimized over z by Brent's method (golden_min).  Independent oracle for
-    rate_estimator_ratio: it solves the contraction numerically where the
-    closed form reads -log g(e^-c), a numerical check of Fenchel duality for g.
+    The infimum of the joint rate on that line is minus the minimum of the
+    joint cgf Lambda(beta, gamma) = log g(e^gamma G(e^beta)) along the normal
+    line (beta, gamma) = t*(-(1-x), 1).  There dLambda/dt vanishes exactly
+    where s f'(G(s)) = x at s = e^beta, a root that does not involve g and
+    rises in s: Illinois steps find beta below the progeny cgf's domain edge,
+    bracketed on the side of 0 that the offspring mean puts it.  The rate is
+    -log g(e^t G(s)) with t = -beta/(1-x), and the minimizing z is g's tilted
+    mean at theta = t + log G(s).  The route uses G solves, f' and g only and
+    never I_f, so it is an independent oracle for rate_estimator_ratio.
+    ``argmax_theta`` is None, or a marker where the root was not solved for.
     """
     prog.require_subcritical(model.f, model.g)
     if not 0.0 <= x < 1.0:
         return RateValue(math.inf, "outside_domain", route="oracle")
-    c = rate_offspring(model.f, x).value / (1.0 - x)
-    cg = cgf_of_pmf(model.g)
-    r_min = cg.support_min
-    # an infinite support gets a generous cap: the convex objective grows
-    # linearly
-    z_hi = cg.support_max if math.isfinite(cg.support_max) else r_min + 80.0
+    f, cg = model.f, cgf_of_pmf(model.g)
+    if x == 0.0:
+        # s -> 0, where e^t G(s) -> p_0: every ancestor is childless
+        return RateValue(_nonneg(-math.log(model.g.kernel.pgf(f.p0))), None,
+                         route="oracle", argmin_z=cg.dfn(math.log(f.p0)))
+    dpgf = f.kernel.dpgf
 
-    def objective(z: float) -> float:
-        return c * z + rate_initial(model.g, z).value
+    def excess(beta: float) -> float:
+        s = math.exp(beta)
+        v = prog._solve_pgf(f, s)
+        return s * dpgf(v) - x if math.isfinite(v) else math.inf
 
-    # an end of the bracket replaces the search's minimum only when lower
-    z_star, v_star = min([golden_min(objective, r_min, z_hi)]
-                         + [(z, objective(z)) for z in (r_min, z_hi)],
-                         key=lambda zv: zv[1])
-    return RateValue(v_star, None, route="oracle", argmin_z=z_star)
+    marker = None
+    beta = 0.0                          # the root at x = mu_f
+    if x < model.mu_f:
+        lo, hi, e_hi = -1.0, 0.0, model.mu_f - x
+        while (e_lo := excess(lo)) > 0.0:
+            if lo == -THETA_CAP:
+                marker = "theta_cap"
+                break
+            lo, hi, e_hi = max(2.0 * lo, -THETA_CAP), lo, e_lo
+        beta = lo if marker else _illinois(excess, lo, hi, e_lo, e_hi, THETA_TOL)
+    elif x > model.mu_f:
+        # at the domain edge 1 - s f'(G(s)) = 0, the tangency; only a childless
+        # law, whose s f'(G) stays 0, has none
+        edge = _progeny_edge(f)
+        if math.isinf(edge):
+            return RateValue(math.inf, "outside_support", route="oracle")
+        beta = _illinois(excess, 0.0, edge, model.mu_f - x, 1.0 - x, THETA_TOL)
+    theta = beta / (x - 1.0) + math.log(prog._solve_pgf(f, math.exp(beta)))
+    return RateValue(_nonneg(-cg.fn(theta)), marker, route="oracle",
+                     argmin_z=cg.dfn(theta))
 
 
 # ---------------------------------------------------------------------------

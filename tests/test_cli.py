@@ -8,6 +8,7 @@ import pytest
 
 from gwldp import build_model, cli, pmf_from_spec, ratefn
 from gwldp import montecarlo as mc
+from gwldp import progeny
 from gwldp.errors import ConvergenceError
 
 BERN_F = '{"family": "bernoulli", "params": {"p": 0.5}}'
@@ -259,7 +260,9 @@ class TestVerify:
 
     def test_exhausted_golden_min_exit_four(self, tmp_path, capsys,
                                             monkeypatch):
-        monkeypatch.setattr(ratefn, "GOLDEN_MAX_ITER", 1)
+        # the contraction oracle solves G by Newton steps; one step cannot
+        # certify a root, so verify reports a convergence failure
+        monkeypatch.setattr(progeny, "NEWTON_MAX_ITER", 1)
         assert run(["verify", "--checks", "prop3_contraction",
                     "--out", str(tmp_path)]) == 4
         assert "convergence failure:" in capsys.readouterr().err

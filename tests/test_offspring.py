@@ -4,6 +4,7 @@ import ast
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -43,6 +44,24 @@ class TestFamilies:
         pmf = pmf_from_family("geometric", {"a": a}, truncation_K=60)
         assert pmf.probs[:4] == approx([(1 - a) * a ** h for h in range(4)])
         assert pmf.truncation_deficit == approx(a ** 61, rel=1e-6)
+
+    @pytest.mark.parametrize("a,K", [(0.3, 40), (0.35, 40), (0.35, 120),
+                                     (0.45, 60)])
+    def test_geometric_deficit_is_exact_tail(self, a, K):
+        # 1 - sum(p) cancels to 0 or 2.2e-16 where the tail is a^(K+1)
+        pmf = pmf_from_family("geometric", {"a": a}, truncation_K=K)
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(a) ** (K + 1)
+            assert abs(pmf.truncation_deficit - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("lam,K", [(0.6, 40), (0.9, 30), (5.0, 40),
+                                       (0.99, 80), (30.0, 80)])
+    def test_poisson_deficit_is_exact_tail(self, lam, K):
+        # the upper tail P(X > K), the regularized lower incomplete gamma
+        pmf = pmf_from_family("poisson", {"lambda": lam}, truncation_K=K)
+        with mpmath.workdps(50):
+            exact = mpmath.gammainc(K + 1, 0, lam, regularized=True)
+            assert abs(pmf.truncation_deficit - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("family,params", [
         ("bernoulli", {"p": 1.5}),
@@ -185,9 +204,9 @@ class TestInvariants:
             assert vals[i + 1] <= chord + 1e-12
             assert vals[i] <= vals[i + 1] + 1e-12
 
-    @pytest.mark.parametrize("pmf", [law for law in LAWS
-                                     if law.truncation_deficit == 0.0])
+    @pytest.mark.parametrize("pmf", LAWS)
     def test_derivative_at_one_is_mean(self, pmf):
+        # of the stored table, truncated or not
         h = 1e-6
         deriv = (pgf_eval(pmf, 1.0 + h) - pgf_eval(pmf, 1.0 - h)) / (2 * h)
         assert deriv == approx(mean(pmf), abs=1e-5)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import gwldp as gw
-from gwldp import ratefn
+from gwldp import progeny, ratefn
 from gwldp import (ConvergenceError, HypothesisError, RateValue, build_model,
                    cgf_of_pmf, cgf_progeny_unit, compare_rates, legendre,
                    pmf_from_dict, pmf_from_family, rate_bivariate,
@@ -847,6 +847,20 @@ def golden_primal(model, y):
     return v_star
 
 
+def ratio_primal(model, x):
+    """The ratio-estimator contraction in its primal form: the minimum over z
+    in g's support of c*z + I_g(z), c = I_f(x)/(1-x), by golden section, the
+    support ends included."""
+    c = rate_offspring(model.f, x).value / (1.0 - x)
+    r_min, r_max = float(model.g.min_support), float(model.g.max_support)
+
+    def objective(z):
+        return c * z + rate_initial(model.g, z).value
+
+    _, v_star = golden_section_min(objective, r_min, r_max)
+    return min([v_star] + [objective(z) for z in (r_min, r_max)])
+
+
 F_LAWS = [("bernoulli", 0.5, None), ("geometric", 0.3, 40), ("poisson", 0.6, 40)]
 G13 = {1: 0.5, 3: 0.5}
 
@@ -995,6 +1009,22 @@ class TestContractionDual:
         assert rate_estimator_meaninit(model, 0.3).value > 0.0
         assert rate_progeny_marginal(model, 6.0).value > 0.0
 
+    def test_ratio_dual_never_composes_the_offspring_rate(self, monkeypatch):
+        # the ratio contraction's dual uses G solves, f' and g only, so it
+        # stays an independent check of the closed form -log g(e^-c)
+        model = build_model(BERN, pmf_from_dict(G13))
+        points = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9]
+        closed = [rate_estimator_ratio(model, x).value for x in points]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dual called I_f or a search")
+
+        for name in ("rate_offspring", "legendre", "golden_min"):
+            monkeypatch.setattr(ratefn, name, refuse)
+        for x, want in zip(points, closed):
+            assert ratio_rate_via_contraction(model, x).value == approx(
+                want, rel=1e-12, abs=1e-15), x
+
     @pytest.mark.parametrize("family,param,K", F_LAWS)
     @pytest.mark.parametrize("g", [
         pmf_from_dict({1: 0.5, 2: 0.5}), pmf_from_dict(G13),
@@ -1074,21 +1104,77 @@ class TestGoldenMin:
         # an uncertified point in silence
         monkeypatch.setattr(ratefn, "GOLDEN_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            ratio_rate_via_contraction(build_model(BERN, G_HALF), 0.25)
+            ratefn.golden_min(lambda t: (t - 0.3) ** 2, -48.0, 1.0)
 
     @pytest.mark.parametrize("family,param,K", F_LAWS)
     @pytest.mark.parametrize("oracle", [ratio_rate_via_contraction], ids=["ratio"])
-    def test_oracles_match_golden_section(self, family, param, K, oracle,
-                                          monkeypatch):
-        # each oracle that searches by golden_min, on the rate-grid benchmark's
-        # pool, against the same oracle run with plain golden section; the
-        # objective carries about 1e-16 of solver noise, hence the absolute floor
+    def test_oracles_match_golden_section(self, family, param, K, oracle):
+        # the contraction oracle, now solved through its dual, on the
+        # rate-grid benchmark's pool against the primal minimum over z found
+        # by plain golden section
         model = build_model(family_law(family, param, K), G_HALF)
-        points = rate_grid_pool(0.0, 0.9)
-        brent = [oracle(model, p).value for p in points]
-        monkeypatch.setattr(ratefn, "golden_min", golden_section_min)
-        for p, got in zip(points, brent):
-            assert got == approx(oracle(model, p).value, rel=1e-12, abs=1e-15), p
+        for p in rate_grid_pool(0.0, 0.9):
+            assert oracle(model, p).value == approx(ratio_primal(model, p),
+                                                    rel=1e-10), p
+
+
+class TestRatioContractionDual:
+    """ratio_rate_via_contraction solves s f'(G(s)) = x for beta = log s and
+    reads the rate as -log g(e^t G(s)), t = -beta/(1-x)."""
+
+    MODELS = [build_model(family_law(*law), g) for law in F_LAWS
+              for g in (G_HALF, pmf_from_dict(G13))]
+
+    def test_matches_closed_form_on_pool(self):
+        for model in self.MODELS:
+            for x in rate_grid_pool(0.0, 0.9):
+                assert relative_error(ratio_rate_via_contraction(model, x).value,
+                                      rate_estimator_ratio(model, x).value) \
+                    <= 1e-10, x
+
+    def test_pgf_solve_budget(self, monkeypatch):
+        # the prototype took 12.5 G solves per point on average, 22 at most;
+        # the Brent contraction ran two Legendre solves per z step
+        solve = progeny._solve_pgf
+        calls = []
+
+        def counting(f, s):
+            calls[-1] += 1
+            return solve(f, s)
+
+        monkeypatch.setattr(progeny, "_solve_pgf", counting)
+        for model in self.MODELS:
+            for x in rate_grid_pool(0.0, 0.9):
+                calls.append(0)
+                ratio_rate_via_contraction(model, x)
+        assert sum(calls) / len(calls) <= 16
+        assert max(calls) <= 32
+
+    def test_edge_cases(self):
+        model = build_model(BERN, G_HALF)
+        # x = 0: every ancestor childless, P = g(p_0)^n with g(1/2) = 3/8
+        at_zero = ratio_rate_via_contraction(model, 0.0)
+        assert at_zero.value == -math.log(0.375)
+        assert at_zero.route == "oracle"
+        for x in (-0.1, 1.0):
+            rv = ratio_rate_via_contraction(model, x)
+            assert math.isinf(rv.value) and rv.argmax_theta == "outside_domain"
+        # the minimizing z is g's tilted mean at theta = -I_f(x)/(1-x)
+        tilted_mean = cgf_of_pmf(G_HALF).dfn
+        for x in (0.0, 0.1, 0.25, 0.5, 0.7, 0.9):
+            theta = -rate_offspring(BERN, x).value / (1.0 - x)
+            assert ratio_rate_via_contraction(model, x).argmin_z == approx(
+                tilted_mean(theta), abs=1e-12), x
+
+    def test_minimum_beside_a_support_kink(self):
+        # Brent's search over z placed this minimum, at z = 1 + 1e-8 beside
+        # g's support end, only to 2*sqrt(eps) relative and was 1.3e-10 off
+        raw = {0: 0.00112, 1: 0.99888, 5: 1.9e-7, 7: 1.6e-8, 12: 1.8e-7}
+        total = sum(raw.values())
+        f = pmf_from_dict({h: p / total for h, p in raw.items()})
+        model = build_model(f, pmf_from_dict({1: 3 / 7, 4: 4 / 7}))
+        assert relative_error(ratio_rate_via_contraction(model, 0.04836).value,
+                              rate_estimator_ratio(model, 0.04836).value) <= 1e-12
 
 
 @st.composite
@@ -1143,7 +1229,7 @@ class TestOracleFuzz:
             return
         assert oracle == approx(rate_bivariate(model, y, z).value, rel=1e-9)
         assert contraction == approx(rate_estimator_ratio(model, x).value,
-                                     rel=1e-9)
+                                     rel=1e-10)
 
 
 def brute_force_joint_rate(family, param, y, z):
