@@ -4,13 +4,16 @@ The estimators read a trial's n i.i.d. replications only through the sums
 Y_sum and Z_sum.  By the branching property, given Z_sum = r the sum Y_sum
 is the total progeny of one Galton-Watson tree started from r ancestors,
 P(Y_sum = k | Z_sum = r) = (r/k) f^{*k}(k - r) (Dwass 1969), so each trial
-simulates a single tree.  A batch of trials advances generation by
-generation; each draw, of Z_sum and of every generation's size, is a sum of
-i.i.d. draws from one law, taken by the law's kernel in one step whatever
-the count: a single Poisson or negative binomial draw for the families
-closed under convolution, a multinomial split of the count over the table
-for any other law, so a generation costs O(trials) or O(trials x |supp f|)
-whatever its population.
+simulates a single tree.  An offspring law on {0, 1} (Bernoulli(p), the
+paper's running example) makes every lineage a chain, and the formula reads
+Y_sum - r ~ NegBin(r, p_0): such a tree is drawn whole, in one negative
+binomial step per trial.  For any other law a batch of trials advances
+generation by generation; each draw, of Z_sum and of every generation's
+size, is a sum of i.i.d. draws from one law, taken by the law's kernel in
+one step whatever the count: a single Poisson or negative binomial draw for
+the families closed under convolution, a multinomial split of the count
+over the table for any other law, so a generation costs O(trials) or
+O(trials x |supp f|) whatever its population.
 
 Reproducibility contract: all randomness derives from the scenario's master
 seed through fixed-purpose seed sequences keyed by (master_seed, purpose,
@@ -19,9 +22,9 @@ never on scheduling, so identical scenarios give identical outputs.  The
 (schedule index, chunk) units of one call therefore run concurrently, one
 thread per CPU the process may use: each unit draws from its own stream into
 its own slice of the output, so which thread runs which unit cannot change a
-bit.  Threads pay where NumPy's samplers release the GIL: the binomial
-does, so two-point laws, the paper's running example, draw through it,
-while the multinomial holds it for its whole loop (see
+bit.  Threads pay where NumPy's samplers release the GIL: the negative
+binomial and the binomial do, so whole chain trees and two-point laws draw
+through them, while the multinomial holds it for its whole loop (see
 ``offspring.LawKernel.sum_draws`` and ``offspring._table_draws``).
 """
 
@@ -43,9 +46,9 @@ from .progeny import ProgenyModel, build_model
 DEFAULT_POPULATION_CAP = 10 ** 7
 # per-chunk element budget: trials_per_chunk * max(n, |supp f|, |supp g|)
 # stays within it, capping the multinomial buffer a table law needs in one
-# worker thread (the convolution laws need one entry per trial), so a call
-# holds up to one such buffer per CPU; fixed so that streams are
-# scenario-determined
+# worker thread (the convolution laws and a whole chain tree need one entry
+# per trial), so a call holds up to one such buffer per CPU; fixed so that
+# streams are scenario-determined
 _CHUNK_LINEAGES = 1 << 21
 _Z95 = 1.959963984540054
 
@@ -56,7 +59,8 @@ _PURPOSE_TAIL_DETERMINISTIC = 2
 
 @dataclass(frozen=True)
 class Threshold:
-    """A rare-event specification: mean_ge / mean_le level a, or estimator_dev epsilon."""
+    """A rare-event specification: mean_ge / mean_le level a, or estimator_dev
+    epsilon.  The level is stored as a finite float, epsilon >= 0."""
 
     kind: str
     level: float
@@ -64,6 +68,18 @@ class Threshold:
     def __post_init__(self):
         if self.kind not in ("mean_ge", "mean_le", "estimator_dev"):
             raise ConfigError(f"unknown threshold kind {self.kind!r}")
+        try:
+            level = float(self.level)
+        except (TypeError, ValueError):
+            level = math.nan
+        if (isinstance(self.level, (bool, np.bool_))
+                or not math.isfinite(level)):
+            raise ConfigError(
+                f"threshold level must be a finite number, got {self.level!r}")
+        if self.kind == "estimator_dev" and level < 0.0:
+            raise ConfigError(
+                f"estimator_dev needs a deviation >= 0, got {self.level!r}")
+        object.__setattr__(self, "level", level)
 
     def label(self) -> str:
         return f"{self.kind}:{self.level:g}"
@@ -112,7 +128,7 @@ class LdpScenario:
             raise ConfigError("scenario must be a JSON object")
         try:
             thresholds = tuple(
-                Threshold(t["kind"], float(t["level"]))
+                Threshold(t["kind"], t["level"])
                 for t in data.get("thresholds", ())
             )
             return cls(
@@ -207,9 +223,10 @@ def sample_progeny(f: Pmf, g: Pmf, rng: np.random.Generator,
                    population_cap: int = DEFAULT_POPULATION_CAP) -> tuple[int, int]:
     """Draw one (total progeny Y, initial population Z) pair.
 
-    Runs the generation recursion: Z individuals to start, every individual
-    alive drawing an offspring count from f, until extinction.  Y counts all
-    individuals ever alive, so Y >= Z >= 1.
+    Z individuals to start, every individual having an offspring count from
+    f, until extinction; the tree is drawn generation by generation, or in
+    one negative-binomial step when f lives on {0, 1} and every lineage is a
+    chain.  Y counts all individuals ever alive, so Y >= Z >= 1.
     """
     prog.require_subcritical(f, g)
     z = g.kernel.sum_draws(np.ones(1, dtype=np.int64), rng)
@@ -219,21 +236,55 @@ def sample_progeny(f: Pmf, g: Pmf, rng: np.random.Generator,
 
 def _total_progeny_batch(f: Pmf, z: np.ndarray, rng: np.random.Generator,
                          population_cap: int) -> np.ndarray:
-    """Total progeny of one tree per entry, started from ``z[i]`` ancestors."""
+    """Total progeny of one tree per entry, started from ``z[i]`` ancestors.
+
+    A law on {0, 1} draws each tree whole: every lineage is a chain that
+    stops at each individual with probability p_0, so the z chains add
+    NegBin(z, p_0) individuals to their ancestors, in one step.  Any other
+    law advances the batch generation by generation until extinction.
+    Either way PopulationCapError is raised when a total exceeds the cap.
+    """
     total = z.astype(np.int64)
+    if f.kernel.cgf.support_max <= 1.0:
+        _add_chain_lengths(total, f.p0 / f.probs.sum(), rng, population_cap)
+        return total
     active = np.flatnonzero(total)
     alive = total[active]
     while active.size:
         alive = f.kernel.sum_draws(alive, rng)
         total[active] += alive
         if (total[active] > population_cap).any():
-            raise PopulationCapError(
-                f"a trial's total progeny exceeded the population cap "
-                f"{population_cap}"
-            )
+            raise _cap_error(population_cap)
         keep = alive > 0
         active, alive = active[keep], alive[keep]
     return total
+
+
+def _add_chain_lengths(total: np.ndarray, p0: float, rng: np.random.Generator,
+                       population_cap: int) -> None:
+    """Add NegBin(total[i], p0) to each entry of ``total`` in place.
+
+    NumPy rejects a zero count, so entries of zero are masked out, but only
+    when one is present: every caller's initial law has no mass at zero.
+    NumPy also refuses p0 = 0, where every chain is endless, and some draws
+    of mean 8e17 or more, which stay within the default cap of 1e7 with
+    probability below 1e-10; either refusal is reported as the cap.
+    """
+    try:
+        if total.all():
+            total += rng.negative_binomial(total, p0)
+        else:
+            live = total > 0
+            total[live] += rng.negative_binomial(total[live], p0)
+    except ValueError as exc:
+        raise _cap_error(population_cap) from exc
+    if (total > population_cap).any():
+        raise _cap_error(population_cap)
+
+
+def _cap_error(population_cap: int) -> PopulationCapError:
+    return PopulationCapError(f"a trial's total progeny exceeded the "
+                              f"population cap {population_cap}")
 
 
 def _stream(scenario: LdpScenario, purpose: int, n_index: int,
@@ -349,7 +400,8 @@ def empirical_rate(scenario: LdpScenario, threshold: Threshold,
         hits = _event_hits(block, threshold, model.mu_f)
         trials = block.y_sum.size
         if hits >= 1:
-            rate = -math.log(hits / trials) / block.n
+            # + 0.0 prints a sure event's rate as 0, not -0
+            rate = -math.log(hits / trials) / block.n + 0.0
             p_lo, p_hi = _wilson_interval(hits, trials)
             rate_lo = -math.log(p_hi) / block.n
             rate_hi = -math.log(p_lo) / block.n if p_lo > 0.0 else math.inf

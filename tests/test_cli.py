@@ -179,6 +179,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "mass at zero" in err and "population cap" not in err
 
+    def test_sure_event_rate_prints_zero(self, tmp_path, capsys):
+        # every trial hits both events, so -log(hits/trials)/n is 0, not -0
+        path = self.scenario_file(tmp_path, trials=200)
+        sure = [{"kind": "mean_ge", "level": 1},
+                {"kind": "estimator_dev", "level": 0}]
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        thresholds=sure)))
+        assert run(["simulate", "--config", str(path),
+                    "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "rates.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            hits, trials, rate = row.split(",")[2:5]
+            assert hits == trials == "200"
+            assert rate == "0"
+
     def test_seed_replay_byte_identical(self, tmp_path, capsys):
         self.assert_replay(tmp_path, self.scenario_file(tmp_path, trials=500))
 
@@ -317,6 +333,22 @@ class TestConfigHandling:
             tmp_path, thresholds=[{"kind": "mean_ge", "level": "x"}])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", [
+        {"kind": "mean_ge", "level": math.nan},
+        {"kind": "mean_ge", "level": math.inf},
+        {"kind": "mean_le", "level": -math.inf},
+        {"kind": "mean_ge", "level": True},
+        {"kind": "estimator_dev", "level": -0.5}])
+    def test_meaningless_threshold_level_exit_two(self, tmp_path, capsys,
+                                                  threshold):
+        # each used to run: NaN gave a censored row with reference_rate 0,
+        # inf a reference_rate of nan, a negative deviation a hit in every
+        # trial against a reference_rate of 0.693
+        assert self._simulate_with(tmp_path, thresholds=[threshold]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert not (tmp_path / "rates.csv").exists()
 
     def test_non_object_scenario_exit_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

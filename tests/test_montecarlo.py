@@ -42,8 +42,11 @@ def scenario(f=BERN_SPEC, g=G_HALF_SPEC, n_schedule=(5, 10), trials=200,
 def serial_sums(sc, purpose):
     """Reference sampler: one (n, chunk) unit after another on this thread,
     every draw from the exact convolution law for the Poisson and geometric
-    families and a multinomial split over the law's support otherwise."""
+    families and a multinomial split over the law's support otherwise; an
+    offspring law on {0, 1} adds NegBin(z, p_0) chain lengths in one draw
+    (every z here is positive)."""
     model = sc.model()
+    chains = set(model.f.support[model.f.probs > 0].tolist()) <= {0, 1}
 
     def sum_draws(pmf, counts, rng):
         if pmf.family == "poisson":
@@ -68,14 +71,18 @@ def serial_sums(sc, purpose):
                 (sc.master_seed, purpose, n_index, chunk)))
             z = sum_draws(model.g, np.full(stop - start, n, dtype=np.int64),
                           rng)
-            total = z.copy()
-            active = np.flatnonzero(total)
-            alive = total[active]
-            while active.size:
-                alive = sum_draws(model.f, alive, rng)
-                total[active] += alive
-                keep = alive > 0
-                active, alive = active[keep], alive[keep]
+            if chains:
+                total = z + rng.negative_binomial(
+                    z, model.f.p0 / model.f.probs.sum())
+            else:
+                total = z.copy()
+                active = np.flatnonzero(total)
+                alive = total[active]
+                while active.size:
+                    alive = sum_draws(model.f, alive, rng)
+                    total[active] += alive
+                    keep = alive > 0
+                    active, alive = active[keep], alive[keep]
             z_sum[start:stop] = z
             y_sum[start:stop] = total
         out.append((n, y_sum, z_sum))
@@ -112,6 +119,23 @@ def negbin_pmf(c, p, k):
     """P(k failures before the c-th success), success probability p."""
     return math.exp(math.lgamma(k + c) - math.lgamma(k + 1) - math.lgamma(c)
                     + c * math.log(p) + k * math.log1p(-p))
+
+
+def assert_follows_law(draws, exact):
+    """Frequencies of ``draws`` against the pmf ``exact(k)`` within four
+    binomial standard errors: each k expected at least 5 times on its own,
+    the rest pooled in one bin."""
+    size = draws.size
+    freq = np.bincount(draws, minlength=draws.max() + 10) / size
+    probs = [exact(k) for k in range(freq.size)]
+    common = [k for k, p in enumerate(probs) if size * p >= 5.0]
+    rare = [k for k, p in enumerate(probs) if size * p < 5.0]
+    bins = [([k], probs[k]) for k in common]
+    bins.append((rare, 1.0 - sum(probs[k] for k in common)))
+    for ks, p in bins:
+        seen = freq[ks].sum()
+        assert abs(seen - p) <= 4.0 * math.sqrt(p * (1.0 - p) / size), \
+            (ks, seen, p)
 
 
 class TestSampler:
@@ -186,21 +210,11 @@ class TestSampler:
             draws = pmf.kernel.sum_draws(counts, rng)
             assert draws.dtype == np.int64
             assert not draws[counts == 0].any()
-        size = 100_000
         above_k = 0
         for c in (1, 3, 50):
-            draws = pmf.kernel.sum_draws(np.full(size, c, dtype=np.int64), rng)
-            freq = np.bincount(draws, minlength=draws.max() + 10) / size
-            # each k expected at least 5 times on its own, the rest pooled
-            probs = [exact(c, k) for k in range(freq.size)]
-            common = [k for k, p in enumerate(probs) if size * p >= 5.0]
-            rare = [k for k, p in enumerate(probs) if size * p < 5.0]
-            bins = [([k], probs[k]) for k in common]
-            bins.append((rare, 1.0 - sum(probs[k] for k in common)))
-            for ks, p in bins:
-                seen = freq[ks].sum()
-                assert abs(seen - p) <= 4.0 * math.sqrt(p * (1.0 - p) / size), \
-                    (c, ks, seen, p)
+            draws = pmf.kernel.sum_draws(np.full(100_000, c, dtype=np.int64),
+                                         rng)
+            assert_follows_law(draws, lambda k: exact(c, k))
             above_k += int(np.count_nonzero(draws > pmf.max_support))
         assert above_k > 0     # checked above the truncation K too
 
@@ -296,6 +310,61 @@ class TestBatchKernel:
         z = G_ID.kernel.sum_draws(np.ones(1000, dtype=np.int64), rng)
         with pytest.raises(PopulationCapError):
             _total_progeny_batch(BERN, z, rng, 4)
+
+    # laws on {0, 1} and their mass at zero: every lineage is a chain, so a
+    # tree from z ancestors has Y - z ~ NegBin(z, p_0), drawn in one step
+    CHAINS = {
+        "bernoulli-0.3": (gw.pmf_from_family("bernoulli", {"p": 0.3}), 0.7),
+        "bernoulli-0.5": (BERN, 0.5),
+        "explicit-0.7-0.3": (pmf_from_dict({0: 0.7, 1: 0.3}), 0.7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_chain_law_exact(self, name):
+        f, p0 = self.CHAINS[name]
+        rng = np.random.default_rng(1969)
+        for z in (1, 3, 50):
+            ys = _total_progeny_batch(f, np.full(100_000, z, dtype=np.int64),
+                                      rng, 10 ** 7)
+            assert ys.dtype == np.int64 and ys.min() >= z
+            assert_follows_law(ys - z, lambda k: negbin_pmf(z, p0, k))
+
+    def test_chain_zero_ancestors_stay_zero(self):
+        # NumPy's negative binomial rejects a zero count
+        z = np.array([0, 2, 0, 5, 0], dtype=np.int64)
+        ys = _total_progeny_batch(BERN, z, np.random.default_rng(4), 10 ** 7)
+        assert ys.dtype == np.int64
+        assert ys[z == 0].tolist() == [0, 0, 0]
+        assert np.all(ys[z > 0] >= z[z > 0])
+        assert z.tolist() == [0, 2, 0, 5, 0]
+
+    def test_point_mass_at_zero_keeps_the_ancestors(self):
+        z = np.array([1, 3, 50, 0, 7], dtype=np.int64)
+        ys = _total_progeny_batch(pmf_from_dict({0: 1.0}), z,
+                                  np.random.default_rng(4), 50)
+        assert ys.tolist() == z.tolist()
+
+    def test_chain_cap_is_on_totals(self):
+        # with no offspring the totals are the ancestors: a total equal to
+        # the cap passes, one above it trips
+        none = pmf_from_dict({0: 1.0})
+        z = np.array([3, 4], dtype=np.int64)
+        rng = np.random.default_rng(0)
+        assert _total_progeny_batch(none, z, rng, 4).tolist() == [3, 4]
+        with pytest.raises(PopulationCapError,
+                           match="exceeded the population cap 3"):
+            _total_progeny_batch(none, z, rng, 3)
+        with pytest.raises(PopulationCapError):
+            _total_progeny_batch(BERN, np.full(1000, 2), rng, 6)
+
+    @pytest.mark.parametrize("law", [{0: 1e-19, 1: 1.0}, {1: 1.0}],
+                             ids=["p0-1e-19", "p0-0"])
+    def test_endless_chains_hit_the_cap(self, law):
+        # NumPy refuses these draws (mean near 1e19, or p_0 = 0); the totals
+        # lie far beyond the cap either way
+        with pytest.raises(PopulationCapError, match="population cap"):
+            _total_progeny_batch(pmf_from_dict(law), np.full(4, 3),
+                                 np.random.default_rng(0), 10 ** 7)
 
 
 class TestReplicate:
@@ -524,6 +593,23 @@ class TestScenarioValidation:
     def test_threshold_kind_checked(self):
         with pytest.raises(gw.ConfigError):
             Threshold("mean_gt", 2.0)
+
+    @pytest.mark.parametrize("kind, level", [
+        ("mean_ge", math.nan), ("mean_ge", math.inf), ("mean_le", -math.inf),
+        ("mean_ge", True), ("estimator_dev", False), ("estimator_dev", -0.5),
+        ("estimator_dev", math.nan)])
+    def test_meaningless_threshold_level_rejected(self, kind, level):
+        with pytest.raises(gw.ConfigError, match="threshold level|deviation"):
+            Threshold(kind, level)
+        data = dict(scenario().to_json_dict(),
+                    thresholds=[{"kind": kind, "level": level}])
+        with pytest.raises(gw.ConfigError, match="threshold level|deviation"):
+            LdpScenario.from_json_dict(data)
+
+    def test_threshold_level_stored_as_float(self):
+        assert Threshold("estimator_dev", 0).level == 0.0
+        level = Threshold("mean_ge", 3).level
+        assert type(level) is float and level == 3.0
 
     def test_json_round_trip(self):
         sc = scenario(thresholds=(Threshold("mean_ge", 3.0),
